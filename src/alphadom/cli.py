@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     comm = sub.add_parser("communities", help="dump the detected partition as CSV")
     _add_graph_inputs(comm)
-    comm.add_argument("--seed", type=int, default=0)
     comm.add_argument("--out", help="partition CSV (default stdout)")
 
     oracle = sub.add_parser("oracle", help="exact minimum-weight solution (small graphs only)")
@@ -205,7 +204,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_communities(args) -> int:
     g = _load_graph(args)
-    part = louvain(g, args.seed)
+    part = louvain(g)
     lines = ["vertex,community"]
     lines += [f"{g.label_of(v)},{part.community_of[v]}" for v in range(g.n)]
     text = "\n".join(lines) + "\n"

@@ -156,14 +156,13 @@ class _LevelGraph:
         return _LevelGraph(nbrs, self_w), [relabel[c] for c in comm]
 
 
-def louvain(g: WeightedGraph, seed: int | None = None) -> Partition:
+def louvain(g: WeightedGraph) -> Partition:
     """Greedy modularity maximization by local moves plus aggregation.
 
     Fully deterministic: the scan order is ascending vertex index and ties
-    prefer the lowest community id, so the ``seed`` argument is reserved for
-    future randomized restarts and currently unused.
+    prefer the lowest community id, so the partition depends on the graph
+    alone.
     """
-    del seed
     if g.n == 0:
         return Partition((), 0)
     level = _LevelGraph.from_graph(g)
@@ -218,5 +217,5 @@ def community_rounding(inst: DominationInstance, cfg: RoundingConfig,
     the local picks goes through the global repair sweep, so the result is
     feasible on the full graph for every seed.
     """
-    part = partition if partition is not None else louvain(inst.graph, cfg.seed)
+    part = partition if partition is not None else louvain(inst.graph)
     return _rounding_over_partition(inst, part, cfg)

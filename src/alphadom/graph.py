@@ -53,6 +53,7 @@ class WeightedGraph:
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} vertices")
         adj = []
+        incoming: list[list[int]] = [[] for _ in range(n)]
         edge_ends = 0
         for v, nbrs in enumerate(adjacency):
             row = tuple(nbrs)
@@ -65,13 +66,15 @@ class WeightedGraph:
                 if u <= prev:
                     raise ValueError(f"neighbor list of {v} not sorted/unique")
                 prev = u
+                incoming[u].append(v)
             adj.append(row)
             edge_ends += len(row)
-        for v, row in enumerate(adj):
-            for u in row:
-                # bisect not worth it at typical degrees; symmetry must hold exactly
-                if v not in adj[u]:
-                    raise ValueError(f"edge {v}-{u} missing its mirror")
+        # v is listed under each neighbor in ascending v, so every row is rebuilt
+        # exactly iff every edge has its mirror; O(m), unlike a scan per edge
+        if any(tuple(into) != row for into, row in zip(incoming, adj)):
+            v, u = min((v, u) for u, (into, row) in enumerate(zip(incoming, adj))
+                       for v in set(into).difference(row))
+            raise ValueError(f"edge {v}-{u} missing its mirror")
         w = tuple(int(x) for x in weights)
         if any(x < 1 for x in w):
             raise ValueError("vertex weights must be >= 1")

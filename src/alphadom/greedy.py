@@ -1,13 +1,19 @@
 """Deterministic greedy construction of a low-weight coverage set.
 
-Three vertex-ordering strategies are supported; all ranking is done with
-exact rationals so two keys are equal only when they are mathematically
-equal, and ties always fall back to the vertex index.
+Three vertex-ordering strategies are supported.  Each ranks a vertex by a
+ratio of integers; two vertices tie only when their ratios are
+mathematically equal, and ties always fall back to the vertex index.
+:func:`sort_key` is the exact definition of that order and :func:`rank_order`
+computes it for all vertices at once.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from .graph import DominatingSet, DominationInstance, WeightedGraph
 
@@ -42,6 +48,52 @@ def sort_key(strategy: Strategy, g: WeightedGraph, v: int) -> SortKey:
     return (value, v)
 
 
+def _denominators(strategy: Strategy, g: WeightedGraph) -> list[int]:
+    """Denominator of every vertex's ranking value; the numerator is its weight."""
+    w = g.weights
+    if strategy is Strategy.S1:
+        return [1] * g.n
+    if strategy is Strategy.S2:
+        return [len(row) + 1 for row in g.adjacency]
+    return [wv + sum(map(w.__getitem__, row)) for wv, row in zip(w, g.adjacency)]
+
+
+def _approx(num: int, den: int) -> float:
+    """num / den correctly rounded; a ratio past the float range reads inf."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
+    """Position of every vertex in the order of :func:`sort_key`.
+
+    Ratios are first sorted by their correctly rounded floats, with the
+    vertex index breaking ties.  Rounding is monotone, so unequal floats are
+    already in exact order; only a run of equal floats can hold distinct
+    ratios (close values, or weights past 2**53).  Adjacent pairs in such
+    runs are compared exactly by cross-multiplying, and a run that holds
+    two distinct ratios is re-sorted by :func:`sort_key`.
+    """
+    nums, dens = g.weights, _denominators(strategy, g)
+    approx = np.fromiter(map(_approx, nums, dens), dtype=np.float64, count=g.n)
+    by_float = np.argsort(approx, kind="stable")
+    ranked = approx[by_float]
+    order = by_float.tolist()
+    mixed = [i for i in np.flatnonzero(ranked[1:] == ranked[:-1]).tolist()
+             if nums[order[i]] * dens[order[i + 1]] != nums[order[i + 1]] * dens[order[i]]]
+    if mixed:
+        runs = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), g.n]
+        for r in {bisect_right(runs, i) - 1 for i in mixed}:
+            lo, hi = runs[r], runs[r + 1]
+            order[lo:hi] = sorted(order[lo:hi], key=lambda v: sort_key(strategy, g, v))
+    rank = [0] * g.n
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    return rank
+
+
 def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingSet:
     """Grow a feasible coverage set by fixing violated vertices in index order.
 
@@ -52,7 +104,7 @@ def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingS
     """
     g = inst.graph
     n = g.n
-    keys = [sort_key(strategy, g, v) for v in range(n)]
+    rank = rank_order(strategy, g)
 
     in_set = bytearray(n)
     cover = [0] * n
@@ -65,7 +117,7 @@ def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingS
         candidates = [u for u in g.adjacency[v] if not in_set[u]]
         if not in_set[v]:
             candidates.append(v)
-        candidates.sort(key=keys.__getitem__)
+        candidates.sort(key=rank.__getitem__)
         for u in candidates[:need]:
             in_set[u] = 1
             members.append(u)

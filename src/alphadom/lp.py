@@ -6,10 +6,11 @@ to [0, 1].  The all-ones point is feasible by construction, which gives the
 solver a ready-made starting basis (all surplus variables basic, all
 membership variables nonbasic at their upper bound): no Phase-1 is needed.
 
-Pricing is Dantzig (most violating reduced cost) with an automatic switch to
-Bland's rule after a streak of degenerate pivots, so the solver is fast in
-the common case and still cannot cycle.  All pivot choices are deterministic,
-so identical programs produce identical bases and identical solutions.
+Pricing is steepest edge (largest squared reduced cost over the column's
+squared norm plus one) with an automatic switch to Bland's rule after a
+streak of degenerate pivots, so the solver is fast in the common case and
+still cannot cycle.  All pivot choices are deterministic, so identical
+programs produce identical bases and identical solutions.
 """
 from __future__ import annotations
 

@@ -141,6 +141,12 @@ class TestCommunitiesAndOracle:
         assert len(lines) == 13
         assert len({line.split(",")[1] for line in lines[1:]}) == 2
 
+    def test_communities_takes_no_seed(self, small_graph_files, capsys):
+        # Louvain is deterministic; a seed flag that changed nothing is gone
+        code, _, err = run(capsys, "communities", "--edges", str(small_graph_files / "g.edges"),
+                           "--weights", str(small_graph_files / "g.weights"), "--seed", "1")
+        assert code == 1 and "--seed" in err
+
     def test_oracle_small_graph(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("a b\nb c\n")
         (tmp_path / "g.weights").write_text("a 5\nb 1\nc 3\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphadom import (DominatingSet, DominationInstance, WeightedGraph, as_alpha,
                       closed_degree, connected_components, coverage_count,
@@ -29,6 +30,22 @@ class TestConstruction:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError, match="mirror"):
             WeightedGraph([(1,), ()], [1, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reports_the_first_edge_missing_its_mirror(self, data):
+        n = data.draw(st.integers(1, 8))
+        adj = [tuple(sorted(data.draw(st.sets(st.sampled_from([u for u in range(n) if u != v]))
+                                      if n > 1 else st.just(set()))))
+               for v in range(n)]
+        # reference: the first (v, u) in scan order whose mirror is absent
+        missing = [(v, u) for v, row in enumerate(adj) for u in row if v not in adj[u]]
+        if missing:
+            v, u = missing[0]
+            with pytest.raises(ValueError, match=f"^edge {v}-{u} missing its mirror$"):
+                WeightedGraph(adj, [1] * n)
+        else:
+            assert WeightedGraph(adj, [1] * n).adjacency == tuple(adj)
 
     def test_rejects_unsorted_neighbors(self):
         with pytest.raises(ValueError, match="sorted"):

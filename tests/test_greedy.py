@@ -1,13 +1,18 @@
 """Greedy solver: ranking keys, feasibility, determinism, oracle comparisons."""
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from alphadom import (DominationInstance, Strategy, WeightedGraph,
-                      brute_force_opt, greedy_dominate, is_feasible, sort_key)
+from alphadom import (DominatingSet, DominationInstance, Strategy, WeightedGraph,
+                      WeightSpec, assign_weights, brute_force_opt, gen_gnm,
+                      gen_planted_partition, gen_powerlaw_cluster, greedy_dominate,
+                      is_feasible, sort_key)
+from alphadom.greedy import rank_order
 
-from .strategies import instances
+from .strategies import instances, weighted_graphs
 
 
 def path3():
@@ -42,6 +47,37 @@ class TestSortKey:
         k1 = sort_key(Strategy.S2, g, 3)
         assert k0[0] == k1[0] == Fraction(1, 3)
         assert k0 < k1
+
+
+# Weights whose ratios defeat a float or int64 key: 2**53 and 2**53 + 1 share
+# one float, 2**64 + 1 overflows int64, 2**1100 overflows float itself.
+HARD_WEIGHTS = [2**53, 2**53 + 1, 2**64 + 1, 2**64 + 2, 2**1100, 2**1100 + 1]
+
+
+@st.composite
+def hard_weighted_graphs(draw):
+    g = draw(weighted_graphs(max_n=12))
+    weight = st.one_of(st.integers(1, 3), st.sampled_from(HARD_WEIGHTS))
+    return g.with_weights(draw(st.lists(weight, min_size=g.n, max_size=g.n)))
+
+
+def sort_key_ranks(strategy, g):
+    order = sorted(range(g.n), key=lambda v: sort_key(strategy, g, v))
+    rank = [0] * g.n
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(hard_weighted_graphs())
+# a 4-cycle: every vertex has degree 2, so only the weights tell them apart
+@example(WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                                  [2**53 + 1, 2**53, 2**53 + 1, 2**53]))
+@example(WeightedGraph.from_edges(3, [], [2**64 + 2, 2**64 + 1, 3]))
+def test_rank_order_matches_sort_key(g):
+    for s in Strategy:
+        assert rank_order(s, g) == sort_key_ranks(s, g)
 
 
 class TestGreedyDominate:
@@ -95,14 +131,65 @@ def test_greedy_never_beats_the_oracle(inst):
         assert greedy_dominate(inst, s).total_weight >= opt
 
 
+def greedy_by_sort_key(inst, strategy):
+    """The greedy scan with candidates sorted by sort_key itself."""
+    g = inst.graph
+    keys = [sort_key(strategy, g, v) for v in range(g.n)]
+    in_set = bytearray(g.n)
+    cover = [0] * g.n
+    members = []
+    for v in range(g.n):
+        need = inst.demands[v] - cover[v]
+        if need <= 0:
+            continue
+        candidates = [u for u in g.adjacency[v] if not in_set[u]]
+        if not in_set[v]:
+            candidates.append(v)
+        candidates.sort(key=keys.__getitem__)
+        for u in candidates[:need]:
+            in_set[u] = 1
+            members.append(u)
+            cover[u] += 1
+            for t in g.adjacency[u]:
+                cover[t] += 1
+    return DominatingSet.from_members(g, members)
+
+
+@pytest.mark.parametrize("family", ["er", "planted", "hubs"])
+def test_greedy_matches_sort_key_reference(family):
+    graph = {
+        "er": lambda: gen_gnm(5000, 25_000, 11),
+        "planted": lambda: gen_planted_partition(50, 100, 0.1, 0.0005, 12),
+        "hubs": lambda: gen_powerlaw_cluster(5000, 2, 0.1, 13),
+    }[family]()
+    g = assign_weights(graph, WeightSpec(1, 71), 14)
+    for alpha in (Fraction(1, 4), Fraction(1, 2)):
+        inst = DominationInstance(g, alpha)
+        for s in Strategy:
+            expected = greedy_by_sort_key(inst, s)
+            got = greedy_dominate(inst, s)
+            assert got.members == expected.members
+            assert got.total_weight == expected.total_weight
+
+
 def test_runtime_sanity_bound():
     # very loose cap on the quadratic-ish scan; catches accidental blowups only
-    import time
-
-    from alphadom import WeightSpec, assign_weights, gen_gnm
     g = assign_weights(gen_gnm(500, 5000, 1), WeightSpec(1, 71), 2)
     inst = DominationInstance(g, Fraction(1, 2))
     start = time.perf_counter()
     for s in Strategy:
         greedy_dominate(inst, s)
+    assert time.perf_counter() - start < 30.0
+
+
+def test_degree_1e5_hub_runs_in_bounded_time():
+    # loose cap; a mirror check that scans a row per edge would read ~5e9 entries here
+    leaves = 100_000
+    start = time.perf_counter()
+    g = WeightedGraph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)],
+                                 [1 + v % 71 for v in range(leaves + 1)])
+    inst = DominationInstance(g, Fraction(1, 2))
+    for s in Strategy:
+        d = greedy_dominate(inst, s)
+        assert is_feasible(inst, d)
     assert time.perf_counter() - start < 30.0
