@@ -14,9 +14,8 @@ import numpy as np
 
 from alphadom import (DominatingSet, DominationInstance, RoundingConfig,
                       WeightSpec, assign_weights, brute_force_opt, build_lp,
-                      default_max_rounds, gen_gnm, is_feasible,
-                      randomized_rounding, repair, round_once, solve_lp,
-                      verify_basis_exact)
+                      certify, default_max_rounds, gen_gnm, is_feasible,
+                      randomized_rounding, repair, round_once, solve_lp)
 
 g = assign_weights(gen_gnm(12, 30, seed=5), WeightSpec(1, 71), seed=6)
 inst = DominationInstance(g, Fraction(1, 2))
@@ -24,11 +23,11 @@ lp = build_lp(inst)
 frac = solve_lp(lp)
 
 print("fractional optimum:", np.round(frac.values, 3))
-print("objective:", round(frac.objective_value, 3),
-      "| simplex iterations:", frac.iterations)
-check = verify_basis_exact(lp, frac)
-print("exact rational re-check of the returned basis:",
-      f"objective={check.objective} feasible={check.feasible} optimal={check.optimal}")
+print("objective:", round(frac.objective_value, 3))
+check = certify(lp, frac)
+print("exact certificate (rationalized primal against the safe dual bound):",
+      f"objective={check.objective} bound={check.lower_bound} "
+      f"feasible={check.feasible} certified={check.certified}")
 
 opt = brute_force_opt(inst)
 print("integer optimum:", opt.opt_weight,

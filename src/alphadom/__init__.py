@@ -25,8 +25,8 @@ from .greedy import Strategy, greedy_dominate, sort_key
 from .io import (IngestError, ingest_graph, read_graph_bundle, read_solution,
                  write_edge_list, write_graph_bundle, write_solution,
                  write_weight_table)
-from .lp import (FractionalSolution, LinearProgram, SimplexError, build_lp,
-                 lp_text, solve_lp, verify_basis_exact)
+from .lp import (Certificate, FractionalSolution, LinearProgram, SimplexError,
+                 build_lp, certify, lp_text, solve_lp)
 from .oracle import (InstanceTooLargeError, OracleResult, brute_force_opt,
                      check_theorem_half, poisson_binomial_pmf,
                      poisson_binomial_tail)

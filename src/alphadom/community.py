@@ -188,8 +188,7 @@ def _rounding_over_partition(inst: DominationInstance, part: Partition,
     rounds = cfg.rounds_for(g)  # max degree of the whole graph, not the community
     picked: set[int] = set()
 
-    for cid in range(part.k):
-        verts = part.members(cid)
+    for cid, verts in enumerate(part.communities()):
         if len(verts) == 1:
             picked.add(verts[0])  # induced demand of a singleton is 1: itself
             continue

@@ -14,13 +14,13 @@ import pytest
 
 from alphadom import (ALGORITHMS, DominationInstance, ExperimentConfig, Partition,
                       RoundingConfig, Strategy, WeightSpec, assign_weights,
-                      brute_force_opt, build_lp, check_theorem_half,
+                      brute_force_opt, build_lp, certify, check_theorem_half,
                       community_rounding, connected_components, default_max_rounds,
                       derive_seed, gen_gnm, gen_planted_partition,
                       gen_powerlaw_cluster, greedy_dominate, is_feasible, louvain,
                       modularity, planted_block_assignment, poisson_binomial_tail,
                       randomized_rounding, run_experiment, solve_lp,
-                      verify_basis_exact, write_rows_csv)
+                      write_rows_csv)
 from alphadom.graph import WeightedGraph
 
 BASE = 0  # fixed a-priori; every stream below hashes it with its own tag
@@ -322,8 +322,9 @@ def test_criterion_7_bench_determinism(tmp_path):
 
 
 def test_criterion_8_solver_cross_checks():
-    # (a) float simplex vs exact rational basis verification on 100 small LPs
+    # (a) HiGHS vertex vs the exact safe-dual certificate on 100 small LPs
     lp_bad = 0
+    worst_gap = Fraction(0)
     for i in range(100):
         n = 2 + i % 14
         m = min(n * (n - 1) // 2, (3 * i) % (3 * n))
@@ -332,10 +333,11 @@ def test_criterion_8_solver_cross_checks():
         inst = DominationInstance(g, (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))[i % 3])
         lp = build_lp(inst)
         sol = solve_lp(lp)
-        check = verify_basis_exact(lp, sol)
+        check = certify(lp, sol)
+        worst_gap = max(worst_gap, check.gap)
         exact = float(check.objective)
         rel_gap = abs(exact - sol.objective_value) / max(1.0, abs(exact))
-        if not (check.feasible and check.optimal and rel_gap <= 1e-9):
+        if not (check.feasible and check.certified and rel_gap <= 1e-9):
             lp_bad += 1
 
     # (b) planted blocks recovered exactly when no cross edges exist and each
@@ -360,7 +362,8 @@ def test_criterion_8_solver_cross_checks():
 
     ok = lp_bad == 0 and louvain_bad == 0 and recovered >= 5 and q_exact
     _report("8 solver-cross-checks", ok,
-            f"lp exact-basis mismatches {lp_bad}/100; louvain misses "
+            f"lp certificate failures {lp_bad}/100, worst gap {float(worst_gap):.3g}; "
+            f"louvain misses "
             f"{louvain_bad}/{recovered} connected planted cases; "
             f"modularity(two triangles)={q!r} exact-half={q_exact}")
     assert lp_bad == 0

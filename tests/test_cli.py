@@ -1,5 +1,9 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,26 @@ class TestSolveAndVerify:
                            "--solution", str(d / "sol.txt"))
         assert code == 0
         assert json.loads(out)["feasible"] is True
+
+    @pytest.mark.parametrize("algo", ["rr", "rrwc"])
+    def test_sets_do_not_depend_on_thread_count(self, tmp_path, algo):
+        g = assign_weights(gen_gnm(300, 3000, 21), WeightSpec(1, 71), 22)
+        write_edge_list(g, tmp_path / "g.edges")
+        write_weight_table(g, tmp_path / "g.weights")
+        path = [str(Path(__file__).resolve().parent.parent / "src")]
+        path += filter(None, [os.environ.get("PYTHONPATH")])
+        sets = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(path))
+            out = tmp_path / f"sol{threads}.txt"
+            subprocess.run([sys.executable, "-m", "alphadom", "solve",
+                            "--edges", str(tmp_path / "g.edges"),
+                            "--weights", str(tmp_path / "g.weights"), "--alpha", "1/2",
+                            "--algo", algo, "--seed", "5", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            sets.append(out.read_text(encoding="utf-8"))
+        assert sets[0] == sets[1] and sets[0]
 
     def test_verify_full_vertex_set(self, small_graph_files, capsys):
         d = small_graph_files

@@ -1,12 +1,14 @@
-"""Relaxation construction and the bounded-variable simplex solver."""
+"""Relaxation construction, the HiGHS solve and its exact certificate."""
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from alphadom import (DominationInstance, WeightedGraph, brute_force_opt,
-                      build_lp, lp_text, solve_lp, verify_basis_exact)
+import alphadom.lp as lp_module
+from alphadom import (DominationInstance, FractionalSolution, SimplexError,
+                      WeightedGraph, brute_force_opt, build_lp, certify, lp_text,
+                      solve_lp)
 from alphadom.bench import derive_seed
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
 
@@ -70,7 +72,7 @@ class TestSolve:
         lp = build_lp(DominationInstance(g, Fraction(1, 4)))
         a, b = solve_lp(lp), solve_lp(lp)
         assert np.array_equal(a.values, b.values)
-        assert a.basis == b.basis and a.at_upper == b.at_upper
+        assert a.objective_value == b.objective_value
 
     def test_constraint_roundtrip_tolerance(self):
         g = assign_weights(gen_gnm(120, 800, 6), WeightSpec(1, 71), 7)
@@ -88,13 +90,12 @@ class TestSolve:
         scaled = solve_lp(build_lp(scaled_inst))
         assert scaled.objective_value == pytest.approx(7 * base.objective_value,
                                                        rel=1e-9)
-        assert scaled.basis == base.basis  # same pivot path on scaled costs
         assert np.allclose(scaled.values, base.values, atol=1e-9)
 
 
 class TestExactVerification:
     def test_hundred_random_small_lps(self):
-        # float simplex vs exact rational recomputation of the returned basis
+        # HiGHS vertex vs the exact safe-dual certificate
         for i in range(100):
             n = 2 + i % 14
             m = min(n * (n - 1) // 2, (i * 7) % (3 * n))
@@ -102,10 +103,41 @@ class TestExactVerification:
                                WeightSpec(1, 71), derive_seed("lpw", i))
             alpha = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))[i % 3]
             lp, sol = solve_instance(g, alpha)
-            check = verify_basis_exact(lp, sol)
-            assert check.feasible and check.optimal
+            check = certify(lp, sol)
+            assert check.feasible and check.certified
+            assert check.lower_bound <= check.objective
             rel = max(1.0, abs(float(check.objective)))
             assert abs(float(check.objective) - sol.objective_value) <= 1e-9 * rel
+
+    def test_scaled_dual_leaves_a_gap(self, monkeypatch):
+        g = assign_weights(gen_gnm(12, 30, 5), WeightSpec(1, 71), 6)
+        lp, sol = solve_instance(g, Fraction(1, 2))
+        assert certify(lp, sol).certified
+        highs_duals = lp_module.highs_duals
+        monkeypatch.setattr(lp_module, "highs_duals", lambda p: 0.9 * highs_duals(p))
+        check = certify(lp, sol)
+        assert check.feasible
+        assert check.gap > lp_module.GAP_TOL and not check.certified
+
+    def test_zeroed_primal_coordinate_falls_short(self):
+        g = assign_weights(gen_gnm(12, 30, 5), WeightSpec(1, 71), 6)
+        lp, sol = solve_instance(g, Fraction(1, 2))
+        values = sol.values.copy()
+        values[int(np.flatnonzero(values > 0)[0])] = 0.0
+        check = certify(lp, FractionalSolution(values, sol.objective_value, 0))
+        assert not check.feasible and not check.certified
+
+    def test_failed_solve_names_n_and_status(self, monkeypatch):
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        def no_optimum(*args, **kwargs):
+            return OptimizeResult(status=1, x=None, message="Iteration limit reached")
+
+        monkeypatch.setattr(scipy.optimize, "milp", no_optimum)
+        g = gen_gnm(6, 8, 1)
+        with pytest.raises(SimplexError, match=r"n=6: status 1: Iteration limit"):
+            solve_lp(build_lp(DominationInstance(g, Fraction(1, 2))))
 
     @settings(max_examples=40, deadline=None)
     @given(instances(max_n=9))

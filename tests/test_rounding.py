@@ -1,4 +1,5 @@
 """Randomized rounding: per-pass statistics, amplification, repair, feasibility."""
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from alphadom import (DominatingSet, DominationInstance, RoundingConfig,
-                      WeightedGraph, build_lp, default_max_rounds, is_feasible,
+                      WeightedGraph, build_lp, community_rounding,
+                      default_max_rounds, is_feasible,
                       poisson_binomial_tail, randomized_rounding, repair,
                       round_once, solve_lp)
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
@@ -144,3 +146,16 @@ def test_theorem_linkage_on_lp_solutions():
             assert probs.sum() >= inst.demand(v) - 1e-7
             tail = poisson_binomial_tail(list(probs), inst.demand(v))
             assert tail >= 0.5 - 1e-9
+
+
+def test_degree_1e5_hub_rounds_in_bounded_time():
+    # the covering LP has 10^5 + 1 rows; a dense tableau of it would need ~160 GB
+    leaves = 100_000
+    start = time.perf_counter()
+    g = WeightedGraph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)],
+                                 [1 + v % 71 for v in range(leaves + 1)])
+    inst = DominationInstance(g, Fraction(1, 2))
+    for solver in (randomized_rounding, community_rounding):
+        d = solver(inst, RoundingConfig(seed=3))
+        assert is_feasible(inst, d)
+    assert time.perf_counter() - start < 60.0
