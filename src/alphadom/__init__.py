@@ -17,10 +17,9 @@ from .generators import (GnmSpec, PlantedPartitionSpec, PowerlawClusterSpec,
                          gen_planted_partition, gen_powerlaw_cluster,
                          planted_block_assignment)
 from .graph import (DeficiencyReport, DominatingSet, DominationInstance,
-                    GraphStats, WeightedGraph, as_alpha, closed_degree,
-                    connected_components, coverage_count, coverage_counts,
-                    deficiency, demand, graph_stats, is_feasible, max_degree,
-                    total_weight)
+                    GraphStats, WeightedGraph, as_alpha, connected_components,
+                    coverage_count, coverage_counts, deficiency, graph_stats,
+                    is_feasible)
 from .greedy import Strategy, greedy_dominate, sort_key
 from .io import (IngestError, ingest_graph, read_graph_bundle, read_solution,
                  write_edge_list, write_graph_bundle, write_solution,

@@ -1,15 +1,19 @@
 """Weighted-graph data model and the coverage arithmetic shared by every solver.
 
 A graph is immutable once built; solvers construct and mutate
-:class:`DominatingSet` objects on the side.  The coverage threshold of a
-vertex ``v`` is ``ceil(alpha * (deg(v) + 1))`` and is computed with exact
-rational arithmetic, so a threshold never moves because of a float rounding
-artifact.
+:class:`DominatingSet` objects on the side.  Its topology is held once, as
+CSR arrays (``indptr``, ``indices``) from which the tuple rows that the
+solvers' Python loops iterate, the closed neighbourhoods (A + I) that
+coverage and the LP read, and induced subgraphs are all derived.  The
+coverage threshold of a vertex ``v`` is ``ceil(alpha * (deg(v) + 1))`` and
+is computed with exact rational arithmetic, so a threshold never moves
+because of a float rounding artifact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,17 +38,42 @@ def as_alpha(value: AlphaLike) -> Fraction:
     return alpha
 
 
+def _as_indices(values, n: int) -> np.ndarray:
+    """Vertex indices as int64; Python ints past the int64 range clamp to -1
+    or n, which keeps them out of range."""
+    arr = np.asarray(values)
+    if arr.dtype == object:
+        arr = np.clip(arr, -1, n)
+    elif arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"vertex indices must be integers, not {arr.dtype}")
+    return arr.astype(np.int64)
+
+
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class WeightedGraph:
     """Undirected simple graph with positive integer vertex weights.
 
     Vertices are dense indices ``0 .. n-1``.  Optional string labels map
     bijectively to indices and are used only at the file-format boundary.
-    Neighbor lists are kept sorted ascending; together with index-ordered
-    scans in the solvers this pins down every deterministic tie-break.
+    The neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``, sorted
+    ascending, and ``adjacency[v]`` is the same row as a tuple of Python
+    ints; together with index-ordered scans in the solvers this pins down
+    every deterministic tie-break.  Weights stay Python ints, so they may
+    exceed the int64 range.
     """
 
-    __slots__ = ("n", "adjacency", "weights", "labels",
-                 "_label_index", "_weight_array", "_closed", "_edge_count")
+    __slots__ = ("n", "indptr", "indices", "adjacency", "weights", "labels",
+                 "_label_index", "_weight_array", "_closed")
 
     def __init__(self, adjacency: Sequence[Sequence[int]],
                  weights: Sequence[int],
@@ -52,66 +81,100 @@ class WeightedGraph:
         n = len(adjacency)
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} vertices")
-        adj = []
-        incoming: list[list[int]] = [[] for _ in range(n)]
-        edge_ends = 0
-        for v, nbrs in enumerate(adjacency):
-            row = tuple(nbrs)
-            prev = -1
-            for u in row:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of vertex {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if u <= prev:
-                    raise ValueError(f"neighbor list of {v} not sorted/unique")
-                prev = u
-                incoming[u].append(v)
-            adj.append(row)
-            edge_ends += len(row)
-        # v is listed under each neighbor in ascending v, so every row is rebuilt
-        # exactly iff every edge has its mirror; O(m), unlike a scan per edge
-        if any(tuple(into) != row for into, row in zip(incoming, adj)):
-            v, u = min((v, u) for u, (into, row) in enumerate(zip(incoming, adj))
-                       for v in set(into).difference(row))
-            raise ValueError(f"edge {v}-{u} missing its mirror")
-        w = tuple(int(x) for x in weights)
-        if any(x < 1 for x in w):
+        rows = list(map(tuple, adjacency))
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        flat = list(chain.from_iterable(rows))
+        indices = _as_indices(flat, n)
+        indptr = _indptr(lengths)
+        owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        rising = np.ones(len(indices), dtype=bool)
+        rising[1:] = indices[1:] > indices[:-1]
+        rising[indptr[:-1][lengths > 0]] = True  # a row's first entry
+        bad = (indices < 0) | (indices >= n) | (indices == owner) | ~rising
+        if bad.any():
+            k = int(np.argmax(bad))
+            v, u = int(owner[k]), flat[k]
+            if not 0 <= u < n:
+                raise ValueError(f"neighbor {u} of vertex {v} out of range")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {v}")
+            raise ValueError(f"neighbor list of {v} not sorted/unique")
+        # the rows are sorted and in range, so the (row, col) keys ascend; the
+        # graph is symmetric iff the (col, row) keys are the same set
+        keys = owner * n + indices
+        mirrors = indices * n + owner
+        if not np.array_equal(keys, np.sort(mirrors)):
+            k = int(np.argmax(~np.isin(mirrors, keys)))
+            raise ValueError(f"edge {owner[k]}-{indices[k]} missing its mirror")
+        self._set(n, indptr, indices, weights, labels)
+
+    @classmethod
+    def _from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray,
+                  weights: Sequence[int], labels: Sequence[str] | None) -> "WeightedGraph":
+        """A graph from CSR arrays already known to be sorted and symmetric."""
+        g = cls.__new__(cls)
+        g._set(n, indptr, indices, weights, labels)
+        return g
+
+    def _set(self, n, indptr, indices, weights, labels) -> None:
+        w = tuple(map(int, weights))
+        if len(w) != n:
+            raise ValueError(f"{len(w)} weights for {n} vertices")
+        if w and min(w) < 1:
             raise ValueError("vertex weights must be >= 1")
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(map(str, labels))
             if len(labels) != n:
                 raise ValueError("label count does not match vertex count")
             if len(set(labels)) != n:
                 raise ValueError("vertex labels must be unique")
+        # one int object per vertex, shared by every row that lists it: the
+        # solvers' loops over the rows then read n ints, not one per entry
+        flat = np.arange(n).astype(object)[indices].tolist()
+        bounds = indptr.tolist()
         self.n = n
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(adj)
+        self.indptr = _frozen(indptr)
+        self.indices = _frozen(indices)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
+            tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         self.weights: tuple[int, ...] = w
         self.labels: tuple[str, ...] | None = labels
         self._label_index: dict[str, int] | None = None
         self._weight_array: np.ndarray | None = None
-        self._closed: list[np.ndarray] | None = None
-        self._edge_count = edge_ends // 2
+        self._closed: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                    weights: Sequence[int] | None = None,
                    labels: Sequence[str] | None = None) -> "WeightedGraph":
-        """Build a graph from an edge iterable; duplicate edges collapse.
+        """Build a graph from (u, v) pairs, an iterable or an (m, 2) array;
+        duplicate edges collapse.
 
         Self-loops are rejected.  ``weights`` defaults to all ones.
         """
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        ends = _as_indices(pairs, n)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        a, b = ends[:, 0], ends[:, 1]
+        bad = (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)
+        if bad.any():
+            u, v = pairs[int(np.argmax(bad))]
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            raise ValueError(f"self-loop at vertex {u}")
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        # dedupe by sorting: numpy 2's np.unique hashes int64 keys, ~40x slower
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        lo, hi = keys // n, keys % n
+        both = np.sort(np.concatenate((keys, hi * n + lo)))
+        rows = both // n
         if weights is None:
             weights = [1] * n
-        return cls([sorted(s) for s in nbrs], weights, labels)
+        return cls._from_csr(n, _indptr(np.bincount(rows, minlength=n)), both % n,
+                             weights, labels)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -123,34 +186,45 @@ class WeightedGraph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self.indices) // 2
+
+    def _owners(self) -> np.ndarray:
+        """The row of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as (u, v) with u < v, in ascending order."""
-        for u, row in enumerate(self.adjacency):
-            for v in row:
-                if u < v:
-                    yield (u, v)
+        """Each edge once as (u, v) with u < v, in ascending order."""
+        owners = self._owners()
+        upper = owners < self.indices
+        return zip(owners[upper].tolist(), self.indices[upper].tolist())
 
     def weight_array(self) -> np.ndarray:
         if self._weight_array is None:
             self._weight_array = np.asarray(self.weights, dtype=np.int64)
         return self._weight_array
 
-    def closed_neighborhood(self, v: int) -> np.ndarray:
-        """Sorted index array of v together with its neighbors (cached)."""
+    def closed_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of A + I: each row holds v and its neighbours,
+        sorted ascending.  Built once, read-only."""
         if self._closed is None:
-            self._closed = [
-                np.asarray(sorted(row + (u,)), dtype=np.int64)
-                for u, row in enumerate(self.adjacency)
-            ]
-        return self._closed[v]
+            owners = self._owners()
+            indptr = self.indptr + np.arange(self.n + 1, dtype=np.int64)
+            indices = np.empty(indptr[-1], dtype=np.int64)
+            # every entry moves down by its row number, and one more past the diagonal
+            indices[np.arange(len(owners)) + owners + (self.indices > owners)] = self.indices
+            below = np.bincount(owners[self.indices < owners], minlength=self.n)
+            indices[indptr[:-1] + below] = np.arange(self.n)
+            self._closed = (_frozen(indptr), _frozen(indices))
+        return self._closed
+
+    def closed_neighborhood(self, v: int) -> np.ndarray:
+        """Sorted index array of v together with its neighbors (a read-only view)."""
+        indptr, indices = self.closed_csr()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for an edgeless graph."""
-        if self.n == 0:
-            return 0
-        return max(len(row) for row in self.adjacency)
+        return int(np.diff(self.indptr).max()) if self.n else 0
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -172,16 +246,26 @@ class WeightedGraph:
 
     def with_weights(self, weights: Sequence[int]) -> "WeightedGraph":
         """Same topology and labels, new weight vector."""
-        return WeightedGraph(self.adjacency, weights, self.labels)
+        return WeightedGraph._from_csr(self.n, self.indptr, self.indices, weights, self.labels)
 
-    def subgraph(self, vertices: Sequence[int]) -> tuple["WeightedGraph", np.ndarray]:
+    def subgraph(self, vertices: Iterable[int]) -> tuple["WeightedGraph", np.ndarray]:
         """Induced subgraph on ``vertices`` plus the local->global index map."""
-        verts = sorted(set(vertices))
-        local = {g: i for i, g in enumerate(verts)}
-        adj = [[local[u] for u in self.adjacency[g] if u in local] for g in verts]
-        weights = [self.weights[g] for g in verts]
-        labels = None if self.labels is None else [self.labels[g] for g in verts]
-        return WeightedGraph(adj, weights, labels), np.asarray(verts, dtype=np.int64)
+        keep = np.zeros(self.n, dtype=bool)
+        keep[np.fromiter(vertices, dtype=np.int64)] = True
+        verts = np.flatnonzero(keep)
+        lengths = np.diff(self.indptr)[verts]
+        # the entries of the kept rows, row after row
+        starts = self.indptr[verts] - np.cumsum(lengths) + lengths
+        cols = self.indices[np.repeat(starts, lengths) + np.arange(lengths.sum())]
+        inside = keep[cols]
+        rows = np.repeat(np.arange(len(verts), dtype=np.int64), lengths)[inside]
+        local = np.cumsum(keep) - 1
+        order = verts.tolist()
+        weights = [self.weights[v] for v in order]
+        labels = None if self.labels is None else [self.labels[v] for v in order]
+        sub = WeightedGraph._from_csr(len(order), _indptr(np.bincount(rows, minlength=len(order))),
+                                      local[cols[inside]], weights, labels)
+        return sub, verts
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -195,18 +279,11 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.edge_count})"
 
 
-def closed_degree(g: WeightedGraph, v: int) -> int:
-    """Degree of v plus one (v counts itself)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return g.degree(v) + 1
-
-
 class DominationInstance:
     """A weighted graph paired with the coverage rate alpha in (0, 1].
 
-    Per-vertex demands ``ceil(alpha * closed_degree)`` are precomputed with
-    integer ceiling division at construction time.
+    Per-vertex demands ``ceil(alpha * (deg + 1))`` are precomputed at
+    construction time with integer ceiling division, once per distinct degree.
     """
 
     __slots__ = ("graph", "alpha", "demands", "_demand_array")
@@ -215,28 +292,22 @@ class DominationInstance:
         self.graph = graph
         self.alpha = as_alpha(alpha)
         num, den = self.alpha.numerator, self.alpha.denominator
-        self.demands: tuple[int, ...] = tuple(
-            -((-num * (graph.degree(v) + 1)) // den) for v in range(graph.n)
-        )
-        self._demand_array: np.ndarray | None = None
+        degrees = np.diff(graph.indptr)
+        distinct = np.flatnonzero(np.bincount(degrees))
+        by_degree = np.zeros(len(distinct) and distinct[-1] + 1, dtype=np.int64)
+        by_degree[distinct] = [-((-num * (d + 1)) // den) for d in distinct.tolist()]
+        self._demand_array = by_degree[degrees]
+        self.demands: tuple[int, ...] = tuple(self._demand_array.tolist())
 
     def demand(self, v: int) -> int:
-        """Required closed-neighborhood coverage of v; always in [1, closed_degree]."""
+        """Required closed-neighborhood coverage of v; always in [1, deg(v) + 1]."""
         return self.demands[v]
 
     def demand_array(self) -> np.ndarray:
-        if self._demand_array is None:
-            self._demand_array = np.asarray(self.demands, dtype=np.int64)
         return self._demand_array
 
     def __repr__(self) -> str:
         return f"DominationInstance(n={self.graph.n}, alpha={self.alpha})"
-
-
-def demand(inst: DominationInstance, v: int) -> int:
-    if not 0 <= v < inst.graph.n:
-        raise ValueError(f"vertex {v} out of range")
-    return inst.demands[v]
 
 
 class DominatingSet:
@@ -318,14 +389,16 @@ def coverage_count(g: WeightedGraph, candidate, v: int) -> int:
 def coverage_counts(g: WeightedGraph, candidate) -> np.ndarray:
     """Closed-neighborhood coverage of every vertex at once.
 
-    Equivalent to stacking :func:`coverage_count` over all vertices but runs
-    as one bincount over the members' closed neighborhoods.
+    Equivalent to stacking :func:`coverage_count` over all vertices, as one
+    sum of the membership mask over each row of A + I.
     """
     members = _member_set(candidate)
-    if not members:
-        return np.zeros(g.n, dtype=np.int64)
-    parts = [g.closed_neighborhood(v) for v in members]
-    return np.bincount(np.concatenate(parts), minlength=g.n).astype(np.int64)
+    member = np.zeros(g.n, dtype=np.int64)
+    member[np.fromiter(members, dtype=np.int64, count=len(members))] = 1
+    if g.n == 0:
+        return member
+    indptr, indices = g.closed_csr()
+    return np.add.reduceat(member[indices], indptr[:-1])
 
 
 def deficiency(inst: DominationInstance, candidate) -> DeficiencyReport:
@@ -341,15 +414,6 @@ def is_feasible(inst: DominationInstance, candidate) -> bool:
     """True iff every vertex sees at least its demand inside the candidate set."""
     cover = coverage_counts(inst.graph, candidate)
     return bool(np.all(cover >= inst.demand_array()))
-
-
-def total_weight(g: WeightedGraph, candidate) -> int:
-    """Fresh weight sum over the candidate's members (ignores any cache)."""
-    return sum(g.weights[v] for v in _member_set(candidate))
-
-
-def max_degree(g: WeightedGraph) -> int:
-    return g.max_degree()
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:

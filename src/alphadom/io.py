@@ -11,7 +11,11 @@ appearance and all weights are 1.
 from __future__ import annotations
 
 import json
+import operator
+from itertools import count
 from pathlib import Path
+
+import numpy as np
 
 from .graph import DominatingSet, WeightedGraph
 
@@ -26,7 +30,38 @@ class IngestError(ValueError):
         self.lineno = lineno
 
 
-def _read_weight_table(path) -> tuple[list[str], dict[str, int]]:
+def _pair_tokens(path) -> list[str] | None:
+    """The file's tokens in order when every non-blank line holds two, else
+    None; also None when the file is not UTF-8, so that a line scan raises
+    where the line-by-line reader would."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    # the per-line lists die at once, so they never trigger the cyclic GC
+    if not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+        return None
+    return text.split()
+
+
+def _bulk_weight_table(path) -> tuple[list[str], list[int]] | None:
+    """The table parsed in bulk, or None when any line is wrong."""
+    tokens = _pair_tokens(path)
+    if tokens is None:
+        return None
+    labels = tokens[0::2]
+    try:
+        weights = list(map(int, tokens[1::2]))
+    except ValueError:
+        return None
+    if min(weights, default=1) < 1 or len(set(labels)) < len(labels):
+        return None
+    return labels, weights
+
+
+def _scan_weight_table(path) -> tuple[list[str], list[int]]:
+    """Line-by-line reader: raises on the first wrong line of the file."""
     labels: list[str] = []
     weights: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -48,48 +83,65 @@ def _read_weight_table(path) -> tuple[list[str], dict[str, int]]:
                 raise IngestError(path, lineno, f"duplicate weight entry for {label!r}")
             labels.append(label)
             weights[label] = w
-    return labels, weights
+    return labels, list(weights.values())
 
 
-def ingest_graph(edge_path, weight_path=None) -> WeightedGraph:
-    """Build a weighted graph from an edge list and an optional weight table.
+def _bulk_edges(path, table: dict[str, int] | None):
+    """(label index, (m, 2) endpoint array) parsed in bulk, or None when any
+    line is wrong."""
+    tokens = _pair_tokens(path)
+    if tokens is None or any(map(operator.eq, tokens[0::2], tokens[1::2])):
+        return None
+    # without a table, vertices are numbered in order of first appearance
+    index = table if table is not None else dict(zip(dict.fromkeys(tokens), count()))
+    try:
+        ends = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    except KeyError:
+        return None
+    return index, ends.reshape(-1, 2)
 
-    Duplicate edge lines collapse to one edge; self-loops and malformed lines
-    abort with the offending line number.
-    """
-    if weight_path is not None:
-        labels, weight_of = _read_weight_table(weight_path)
-        index = {s: i for i, s in enumerate(labels)}
-        known = True
-    else:
-        labels, weight_of = [], {}
-        index = {}
-        known = False
 
-    edges: set[tuple[int, int]] = set()
-    with open(edge_path, encoding="utf-8") as fh:
+def _scan_edges(path, table: dict[str, int] | None):
+    """Line-by-line reader: raises on the first wrong line of the file."""
+    index = table if table is not None else {}
+    ends: list[tuple[int, int]] = []
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise IngestError(edge_path, lineno, f"expected 'label label', got {line!r}")
+                raise IngestError(path, lineno, f"expected 'label label', got {line!r}")
             a, b = parts
             if a == b:
-                raise IngestError(edge_path, lineno, f"self-loop at {a!r}")
+                raise IngestError(path, lineno, f"self-loop at {a!r}")
             for s in (a, b):
                 if s not in index:
-                    if known:
-                        raise IngestError(edge_path, lineno,
-                                          f"label {s!r} has no weight entry")
-                    index[s] = len(labels)
-                    labels.append(s)
-            u, v = index[a], index[b]
-            edges.add((u, v) if u < v else (v, u))
+                    if table is not None:
+                        raise IngestError(path, lineno, f"label {s!r} has no weight entry")
+                    index[s] = len(index)
+            ends.append((index[a], index[b]))
+    return index, ends
 
-    weights = [weight_of.get(s, 1) for s in labels]
-    return WeightedGraph.from_edges(len(labels), edges, weights, labels)
+
+def ingest_graph(edge_path, weight_path=None) -> WeightedGraph:
+    """Build a weighted graph from an edge list and an optional weight table.
+
+    Duplicate edge lines collapse to one edge; self-loops and malformed lines
+    abort with the offending line number.  Each file is read and split in
+    bulk; only when that finds a wrong line is it scanned line by line, so
+    the first wrong line of the file is the one reported.
+    """
+    if weight_path is not None:
+        labels, weights = _bulk_weight_table(weight_path) or _scan_weight_table(weight_path)
+        table = dict(zip(labels, count()))
+    else:
+        table = None
+    index, ends = _bulk_edges(edge_path, table) or _scan_edges(edge_path, table)
+    if table is None:
+        labels, weights = list(index), [1] * len(index)
+    return WeightedGraph.from_edges(len(labels), ends, weights, labels)
 
 
 def write_edge_list(g: WeightedGraph, path) -> None:

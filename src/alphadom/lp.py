@@ -34,21 +34,31 @@ class SimplexError(RuntimeError):
 class LinearProgram:
     """min weights.x subject to, per row, sum(x[row]) >= bound, 0 <= x <= 1.
 
+    Row i's variable index set is ``indices[indptr[i]:indptr[i+1]]`` (CSR).
     Every row's index set contains the row's own vertex and the bound never
     exceeds the row size, so the all-ones point is always feasible.
     """
 
     n_vars: int
     weights: np.ndarray          # objective coefficients, int64
-    rows: list[np.ndarray]       # per-row variable index sets
+    indptr: np.ndarray           # CSR row pointers of the rows' index sets
+    indices: np.ndarray          # CSR variable indices
     bounds: np.ndarray           # per-row lower bounds, int64
 
     def __post_init__(self):
-        if len(self.rows) != len(self.bounds):
+        sizes = np.diff(self.indptr)
+        if len(sizes) != len(self.bounds):
             raise ValueError("row/bound count mismatch")
-        for i, row in enumerate(self.rows):
-            if self.bounds[i] > len(row):
-                raise ValueError(f"row {i}: bound {self.bounds[i]} exceeds row size {len(row)}")
+        over = np.flatnonzero(self.bounds > sizes)
+        if len(over):
+            i = int(over[0])
+            raise ValueError(f"row {i}: bound {self.bounds[i]} exceeds row size {sizes[i]}")
+
+    @property
+    def rows(self) -> list[np.ndarray]:
+        """Per-row variable index sets (views of ``indices``)."""
+        bounds = self.indptr.tolist()
+        return [self.indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -59,18 +69,20 @@ class FractionalSolution:
     HiGHS's simplex iteration count.
     """
 
-    values: np.ndarray           # x, clipped to [0, 1]^n
+    values: np.ndarray           # x, clipped to [0, 1]^n, no signed zeros
     objective_value: float
     iterations: int
 
 
 def build_lp(inst: DominationInstance) -> LinearProgram:
-    """One covering row per vertex, over its closed neighborhood."""
+    """One covering row per vertex, over its closed neighborhood (A + I)."""
     g = inst.graph
+    indptr, indices = g.closed_csr()
     return LinearProgram(
         n_vars=g.n,
         weights=g.weight_array().copy(),
-        rows=[g.closed_neighborhood(v) for v in range(g.n)],
+        indptr=indptr,
+        indices=indices,
         bounds=inst.demand_array().copy(),
     )
 
@@ -78,12 +90,8 @@ def build_lp(inst: DominationInstance) -> LinearProgram:
 def _constraint_matrix(lp: LinearProgram):
     """The rows as a CSR matrix of ones (A + I for a graph's relaxation)."""
     from scipy.sparse import csr_array
-    lengths = np.fromiter((len(row) for row in lp.rows), dtype=np.int64,
-                          count=len(lp.rows))
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    indices = np.concatenate(lp.rows) if lp.rows else np.zeros(0, dtype=np.int64)
-    return csr_array((np.ones(len(indices)), indices, indptr),
-                     shape=(len(lp.rows), lp.n_vars))
+    return csr_array((np.ones(len(lp.indices)), lp.indices, lp.indptr),
+                     shape=(len(lp.bounds), lp.n_vars))
 
 
 def solve_lp(lp: LinearProgram) -> FractionalSolution:
@@ -92,7 +100,7 @@ def solve_lp(lp: LinearProgram) -> FractionalSolution:
     Raises :class:`SimplexError`, naming n, the HiGHS status and its
     message, when HiGHS reports anything but an optimum.
     """
-    m = len(lp.rows)
+    m = len(lp.bounds)
     n = lp.n_vars
     if m == 0 or n == 0:
         return FractionalSolution(np.zeros(n), 0.0, 0)
@@ -105,15 +113,15 @@ def solve_lp(lp: LinearProgram) -> FractionalSolution:
     if res.status != 0:
         raise SimplexError(f"HiGHS found no optimum for n={n}: "
                            f"status {res.status}: {res.message}")
-    values = np.clip(res.x, 0.0, 1.0)
+    values = np.clip(res.x, 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
     return FractionalSolution(values, float(c @ values), 0)
 
 
 def highs_duals(lp: LinearProgram) -> np.ndarray:
     """Dual value of each covering row (nonnegative up to rounding), from
     HiGHS through ``scipy.optimize.linprog``."""
-    if len(lp.rows) == 0 or lp.n_vars == 0:
-        return np.zeros(len(lp.rows))
+    if len(lp.bounds) == 0 or lp.n_vars == 0:
+        return np.zeros(len(lp.bounds))
     from scipy.optimize import linprog
     res = linprog(lp.weights.astype(float), A_ub=-_constraint_matrix(lp),
                   b_ub=-lp.bounds.astype(float), bounds=(0.0, 1.0), method="highs")

@@ -1,4 +1,5 @@
 """Graph model, demand arithmetic, and the feasibility verifier."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphadom import (DominatingSet, DominationInstance, WeightedGraph, as_alpha,
-                      closed_degree, connected_components, coverage_count,
-                      coverage_counts, deficiency, demand, graph_stats,
-                      is_feasible, max_degree, total_weight)
+                      connected_components, coverage_count, coverage_counts,
+                      deficiency, gen_gnm, gen_planted_partition,
+                      gen_powerlaw_cluster, graph_stats, is_feasible)
 
 from .strategies import instances, weighted_graphs
 
@@ -47,6 +48,37 @@ class TestConstruction:
         else:
             assert WeightedGraph(adj, [1] * n).adjacency == tuple(adj)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reports_the_first_bad_entry_in_scan_order(self, data):
+        n = data.draw(st.integers(1, 6))
+        entry = st.one_of(st.integers(-2, n + 1), st.sampled_from([-2**70, 2**70]))
+        adj = [data.draw(st.lists(entry, max_size=4)) for _ in range(n)]
+        # reference: the first entry that is out of range, a self-loop, or
+        # not above the entry before it in its row
+        expected = None
+        for v, row in enumerate(adj):
+            for i, u in enumerate(row):
+                if not 0 <= u < n:
+                    expected = f"neighbor {u} of vertex {v} out of range"
+                elif u == v:
+                    expected = f"self-loop at vertex {v}"
+                elif i and u <= row[i - 1]:
+                    expected = f"neighbor list of {v} not sorted/unique"
+                if expected:
+                    break
+            if expected:
+                break
+        if expected is None:
+            missing = [(v, u) for v, row in enumerate(adj) for u in row if v not in adj[u]]
+            expected = "edge {}-{} missing its mirror".format(*missing[0]) if missing else None
+        if expected is None:
+            assert WeightedGraph(adj, [1] * n).adjacency == tuple(map(tuple, adj))
+        else:
+            with pytest.raises(ValueError) as info:
+                WeightedGraph(adj, [1] * n)
+            assert str(info.value) == expected
+
     def test_rejects_unsorted_neighbors(self):
         with pytest.raises(ValueError, match="sorted"):
             WeightedGraph([(2, 1), (0,), (0,)], [1, 1, 1])
@@ -81,46 +113,42 @@ class TestAlpha:
 class TestClosedDegreeAndDemand:
     def test_isolated_vertex(self):
         g = WeightedGraph.from_edges(1, [], [1])
-        assert closed_degree(g, 0) == 1
+        assert g.degree(0) + 1 == 1
 
     def test_triangle(self):
         g = WeightedGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)], [1, 1, 1])
-        assert closed_degree(g, 0) == 3
+        assert g.degree(0) + 1 == 3
 
     def test_degree_20_vertex(self):
         g = WeightedGraph.from_edges(21, [(0, v) for v in range(1, 21)], [1] * 21)
-        assert closed_degree(g, 0) == 21
-
-    def test_out_of_range_vertex(self):
-        with pytest.raises(ValueError):
-            closed_degree(path3(), 3)
+        assert g.degree(0) + 1 == 21
 
     def test_demand_half_of_three(self):
         inst = DominationInstance(path3(), Fraction(1, 2))
-        assert demand(inst, 1) == 2  # ceil(1.5)
+        assert inst.demand(1) == 2  # ceil(1.5)
 
     def test_demand_quarter_of_21(self):
         g = WeightedGraph.from_edges(21, [(0, v) for v in range(1, 21)], [1] * 21)
         inst = DominationInstance(g, Fraction(1, 4))
-        assert demand(inst, 0) == 6  # ceil(5.25)
+        assert inst.demand(0) == 6  # ceil(5.25)
 
     def test_demand_alpha_one_forces_closed_neighborhood(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)], [1] * 4)
         inst = DominationInstance(g, 1)
-        assert demand(inst, 0) == closed_degree(g, 0)
+        assert inst.demand(0) == g.degree(0) + 1
 
     def test_no_float_ceiling_drift(self):
         # ceil(0.2 * 5) must be exactly 1, not 2 from a 0.2000...01 artifact
         g = WeightedGraph.from_edges(5, [(0, v) for v in range(1, 5)], [1] * 5)
         inst = DominationInstance(g, "1/5")
-        assert demand(inst, 0) == 1
+        assert inst.demand(0) == 1
 
 
 class TestCoverageAndFeasibility:
     def test_coverage_all_vertices(self):
         g = path3()
         full = DominatingSet.from_members(g, range(3))
-        assert coverage_count(g, full, 1) == closed_degree(g, 1)
+        assert coverage_count(g, full, 1) == g.degree(1) + 1
 
     def test_coverage_empty(self):
         g = path3()
@@ -150,10 +178,10 @@ class TestCoverageAndFeasibility:
 
     def test_total_weight_and_max_degree(self):
         g = path3()
-        assert total_weight(g, {1, 2}) == 4
-        assert total_weight(g, set()) == 0
-        assert max_degree(g) == 2
-        assert max_degree(WeightedGraph.from_edges(3, [], [1, 1, 1])) == 0
+        assert DominatingSet.from_members(g, {1, 2}).recomputed_weight(g) == 4
+        assert DominatingSet.empty().recomputed_weight(g) == 0
+        assert g.max_degree() == 2
+        assert WeightedGraph.from_edges(3, [], [1, 1, 1]).max_degree() == 0
 
 
 class TestDominatingSet:
@@ -174,7 +202,7 @@ class TestDominatingSet:
 @given(instances())
 def test_demand_bounds(inst):
     for v in range(inst.graph.n):
-        assert 1 <= inst.demand(v) <= closed_degree(inst.graph, v)
+        assert 1 <= inst.demand(v) <= inst.graph.degree(v) + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,3 +258,56 @@ def test_subgraph_keeps_weights_and_maps_back():
     assert list(mapping) == [1, 2, 4]
     assert sub.weights == (6, 7, 9)
     assert sub.edge_count == 1  # only 1-2 survives
+
+
+def check_representation(g: WeightedGraph, rng: np.random.Generator) -> None:
+    """The CSR arrays, the tuple rows, A + I, from_edges, subgraph, coverage
+    and demands against plain-Python references."""
+    rows = [list(r) for r in g.adjacency]
+    for v in range(g.n):
+        assert tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) == g.adjacency[v]
+        assert g.closed_neighborhood(v).tolist() == sorted(g.adjacency[v] + (v,))
+    assert list(g.edges()) == [(u, v) for u in range(g.n) for v in rows[u] if u < v]
+
+    # from_edges: every edge twice, some reversed, in a shuffled order
+    pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()] * 2
+    order = rng.permutation(len(pairs))
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    rebuilt = WeightedGraph.from_edges(g.n, [pairs[i] for i in order], g.weights)
+    assert rebuilt.adjacency == tuple(tuple(sorted(s)) for s in nbrs)
+    assert rebuilt == g and rebuilt.edge_count == g.edge_count
+
+    # subgraph on a random vertex set, given unsorted and with repeats
+    picked = rng.choice(g.n, size=int(rng.integers(0, g.n + 1)), replace=True).tolist()
+    verts = sorted(set(picked))
+    local = {x: i for i, x in enumerate(verts)}
+    sub, to_global = g.subgraph(picked)
+    assert to_global.tolist() == verts
+    assert sub.adjacency == tuple(tuple(local[u] for u in rows[x] if u in local) for x in verts)
+    assert sub.weights == tuple(g.weights[x] for x in verts)
+
+    members = set(rng.choice(g.n, size=g.n // 3, replace=False).tolist())
+    assert coverage_counts(g, members).tolist() == [
+        coverage_count(g, members, v) for v in range(g.n)]
+    for alpha in (Fraction(1, 4), Fraction(2, 5), Fraction(1)):
+        inst = DominationInstance(g, alpha)
+        assert inst.demands == tuple(math.ceil(alpha * (len(r) + 1)) for r in rows)
+        assert inst.demand_array().tolist() == list(inst.demands)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_graphs(), st.integers(0, 2**32 - 1))
+def test_representation_matches_references(g, seed):
+    check_representation(g, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("family", ["er", "planted", "powerlaw"])
+def test_representation_on_seeded_families(family, seed):
+    g = {"er": lambda: gen_gnm(300, 1500, seed),
+         "planted": lambda: gen_planted_partition(5, 40, 0.3, 0.02, seed),
+         "powerlaw": lambda: gen_powerlaw_cluster(300, 3, 0.4, seed)}[family]()
+    check_representation(g, np.random.default_rng(seed))

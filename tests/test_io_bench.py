@@ -1,8 +1,12 @@
 """File-format round trips and the experiment harness."""
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphadom import (ExperimentConfig, GraphSource, IngestError, WeightSpec,
                       assign_weights, derive_seed, gen_gnm, graph_stats,
@@ -88,6 +92,108 @@ class TestIngest:
         assert st.edges == len(edges)
         assert st.components == 215
         assert 10 <= st.min_weight and st.max_weight <= 71
+
+
+def reference_ingest(edge_text: str, weight_text: str | None):
+    """Line-by-line reading of the file formats, independent of alphadom.io.
+
+    Returns ("edges" or "weights", line number, message) for the first wrong
+    line, else (labels, weights, edges as a set of sorted index pairs).
+    """
+    def lines(text):  # the newline translation of a text-mode read
+        return enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
+
+    labels, weight_of = [], {}
+    for lineno, line in lines(weight_text or ""):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return ("weights", lineno, f"expected 'label weight', got {line.strip()!r}")
+        label, text = parts
+        try:
+            w = int(text)
+        except ValueError:
+            return ("weights", lineno, f"weight {text!r} is not an integer")
+        if w < 1:
+            return ("weights", lineno, f"non-positive weight {w} for {label!r}")
+        if label in weight_of:
+            return ("weights", lineno, f"duplicate weight entry for {label!r}")
+        labels.append(label)
+        weight_of[label] = w
+    index = {s: i for i, s in enumerate(labels)}
+    edges = set()
+    for lineno, line in lines(edge_text):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return ("edges", lineno, f"expected 'label label', got {line.strip()!r}")
+        a, b = parts
+        if a == b:
+            return ("edges", lineno, f"self-loop at {a!r}")
+        for s in parts:
+            if s not in index:
+                if weight_text is not None:
+                    return ("edges", lineno, f"label {s!r} has no weight entry")
+                index[s] = len(labels)
+                labels.append(s)
+        edges.add(tuple(sorted((index[a], index[b]))))
+    return labels, [weight_of.get(s, 1) for s in labels], edges
+
+
+LABELS = ["a", "b", "c", "d", "\u00e9t\u00e9"]
+WEIGHT_TEXTS = ["1", "2", "71", "+3", "0", "-4", "x", "1.5"]
+
+
+@st.composite
+def table_files(draw, tokens, clean):
+    """File text: blank lines, tabs, CRLF or CR line ends; with ``clean``
+    every non-blank line has two tokens."""
+    counts = [0, 2] if clean else [0, 1, 2, 2, 2, 3]
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.sampled_from(counts))
+        seps = [draw(st.sampled_from([" ", "\t", "  ", " \t"])) for _ in range(k)]
+        words = [draw(tokens(i)) for i in range(k)]
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        line = pad + "".join(w + s for w, s in zip(words, seps)).rstrip(" \t") + pad
+        out.append(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])))
+    text = "".join(out)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ingest_errors_match_a_line_by_line_reader(data):
+    clean = data.draw(st.booleans())
+    label = st.sampled_from(LABELS)
+    with_table = data.draw(st.booleans())
+    weight_text = None
+    if with_table:
+        weight_value = st.sampled_from(WEIGHT_TEXTS[:4] if clean else WEIGHT_TEXTS)
+        weight_text = data.draw(table_files(lambda i: label if i == 0 else weight_value,
+                                            clean and data.draw(st.booleans())))
+    edge_text = data.draw(table_files(lambda i: label, clean))
+    expected = reference_ingest(edge_text, weight_text)
+    with tempfile.TemporaryDirectory() as tmp:
+        edge_path, weight_path = Path(tmp) / "g.edges", Path(tmp) / "g.weights"
+        edge_path.write_bytes(edge_text.encode("utf-8"))
+        if weight_text is not None:
+            weight_path.write_bytes(weight_text.encode("utf-8"))
+        args = (edge_path, weight_path if weight_text is not None else None)
+        if isinstance(expected[0], str):
+            which, lineno, message = expected
+            path = edge_path if which == "edges" else weight_path
+            with pytest.raises(IngestError) as info:
+                ingest_graph(*args)
+            assert (info.value.path, info.value.lineno) == (str(path), lineno)
+            assert str(info.value) == f"{path}:{lineno}: {message}"
+        else:
+            labels, weights, edges = expected
+            g = ingest_graph(*args)
+            assert g.labels == tuple(labels) and g.weights == tuple(weights)
+            assert set(g.edges()) == edges and g.edge_count == len(edges)
 
 
 class TestRoundTrips:

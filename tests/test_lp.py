@@ -81,6 +81,13 @@ class TestSolve:
             assert sol.values[row].sum() >= bound - 1e-9
         assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
 
+    def test_values_carry_no_signed_zeros(self):
+        # the LP of demos/04_lp_rounding.py, where HiGHS returns -0.0 entries
+        g = assign_weights(gen_gnm(12, 30, 5), WeightSpec(1, 71), 6)
+        _, sol = solve_instance(g, Fraction(1, 2))
+        assert np.any(sol.values == 0.0)
+        assert not np.any(np.signbit(sol.values))
+
     def test_objective_scaling_covariance(self):
         g = assign_weights(gen_gnm(50, 220, 8), WeightSpec(1, 40), 9)
         inst = DominationInstance(g, Fraction(1, 2))

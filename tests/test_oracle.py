@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from alphadom import (DominatingSet, DominationInstance, InstanceTooLargeError,
                       WeightedGraph, brute_force_opt, check_theorem_half,
-                      is_feasible, poisson_binomial_pmf, poisson_binomial_tail,
-                      total_weight)
+                      is_feasible, poisson_binomial_pmf, poisson_binomial_tail)
 
 from .strategies import instances
 
@@ -23,7 +22,7 @@ def naive_opt(inst):
     for k in range(g.n + 1):
         for combo in combinations(range(g.n), k):
             if is_feasible(inst, set(combo)):
-                w = total_weight(g, combo)
+                w = sum(g.weights[v] for v in combo)
                 cand = (w, len(combo), combo)
                 if best is None or cand < best:
                     best = cand
