@@ -16,7 +16,7 @@ from .graph import DominatingSet, DominationInstance, WeightedGraph, is_feasible
 from .lp import build_lp, solve_lp
 from .rounding import RoundingConfig, repair, round_once
 
-_GAIN_TOL = 1e-12
+_GAIN_TOL = 1e-12  # the least rise in modularity that earns another level
 
 
 @dataclass(frozen=True)
@@ -54,131 +54,137 @@ class Partition:
         return out
 
 
+def _modularity(g: WeightedGraph, community_of: np.ndarray) -> float:
+    m = g.edge_count
+    if m == 0:
+        return 0.0
+    k = int(community_of.max()) + 1
+    deg = np.bincount(community_of, weights=np.diff(g.indptr), minlength=k)
+    owners = community_of[g._owners()]
+    # each edge inside a community sits in two rows of the CSR arrays
+    twice_intra = np.bincount(owners[owners == community_of[g.indices]], minlength=k)
+    return float(np.sum(twice_intra / 2 / m - (deg / (2 * m)) ** 2))
+
+
 def modularity(g: WeightedGraph, p: Partition) -> float:
     """Newman modularity with unit edge weights; defined as 0 on an edgeless graph."""
     if len(p.community_of) != g.n:
         raise ValueError("partition does not cover the graph")
-    m = g.edge_count
-    if m == 0:
-        return 0.0
-    intra = [0] * p.k
-    deg = [0] * p.k
-    for v in range(g.n):
-        deg[p.community_of[v]] += g.degree(v)
-    for u, v in g.edges():
-        if p.community_of[u] == p.community_of[v]:
-            intra[p.community_of[u]] += 1
-    return sum(intra[c] / m - (deg[c] / (2 * m)) ** 2 for c in range(p.k))
+    return _modularity(g, np.asarray(p.community_of, dtype=np.int64))
 
 
-class _LevelGraph:
-    """Aggregated weighted view used between phases: neighbor weights,
-    self-loop weight, and vertex strength (degree including twice the loop)."""
+def _local_moves(rows, weights, strength: list[int], two_m: int) -> tuple[list[int], bool]:
+    """One complete local-move phase over one level; returns (community of
+    each level vertex, whether anything moved).
 
-    def __init__(self, neighbors: list[dict[int, float]], self_w: list[float]):
-        self.neighbors = neighbors
-        self.self_w = self_w
-        self.strength = [sum(nb.values()) + 2 * sw
-                         for nb, sw in zip(neighbors, self_w)]
-        self.total = sum(self.strength) / 2.0  # == total edge weight incl. loops
+    ``rows[v]`` lists the neighbours of v other than itself, with integer
+    weights ``weights[v]``, or unit weights when ``weights`` is None.
+    Vertices are scanned in ascending index order and moved to the
+    neighbouring community with the greatest strictly positive modularity
+    gain; equal gains resolve to the lowest community id.  Sweeps repeat
+    until a full sweep moves nothing.  A gain is compared as the integer
+    ``links * 2m - sigma * k_v``, 2m times the usual
+    ``links - sigma * k_v / 2m``, so no comparison rounds.
+    """
+    n = len(rows)
+    comm = list(range(n))
+    sigma = list(strength)  # total strength per community
+    moved_any = False
+    while True:
+        moved = False
+        for v in range(n):
+            cv = comm[v]
+            kv = strength[v]
+            links: dict[int, int] = {}
+            if weights is None:
+                for u in rows[v]:
+                    c = comm[u]
+                    links[c] = links.get(c, 0) + 1
+            else:
+                for u, w in zip(rows[v], weights[v]):
+                    c = comm[u]
+                    links[c] = links.get(c, 0) + w
+            sigma[cv] -= kv
+            base = links.get(cv, 0) * two_m - sigma[cv] * kv
+            best_c, best_gain = cv, base
+            for c, lc in links.items():
+                gain = lc * two_m - sigma[c] * kv
+                if gain > best_gain or (gain == best_gain and c < best_c):
+                    best_c, best_gain = c, gain
+            if best_gain == base:
+                best_c = cv  # only a strictly better community is worth the move
+            sigma[best_c] += kv
+            if best_c != cv:
+                comm[v] = best_c
+                moved = moved_any = True
+        if not moved:
+            return comm, moved_any
 
-    @classmethod
-    def from_graph(cls, g: WeightedGraph) -> "_LevelGraph":
-        return cls([{u: 1.0 for u in g.adjacency[v]} for v in range(g.n)],
-                   [0.0] * g.n)
 
-    def local_moves(self) -> tuple[list[int], bool]:
-        """One complete local-move phase; returns (community of each vertex,
-        whether anything moved).
+def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
+               comm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next level: communities contracted to vertices by one product
+    Pᵀ A P, with the edges inside a community (its diagonal) dropped, since
+    a self-loop enters the gains only through the vertex strength."""
+    from scipy.sparse import csr_array
 
-        Vertices are scanned in ascending index order and moved to the
-        neighboring community with the greatest strictly positive modularity
-        gain; equal gains resolve to the lowest community id.  Sweeps repeat
-        until a full sweep moves nothing.
-        """
-        n = len(self.neighbors)
-        comm = list(range(n))
-        sigma = self.strength[:]  # total strength per community
-        two_m = 2.0 * self.total
-        if two_m == 0:
-            return comm, False
-        moved_any = False
-        while True:
-            moved = False
-            for v in range(n):
-                cv = comm[v]
-                links: dict[int, float] = {}
-                for u, w in self.neighbors[v].items():
-                    cu = comm[u]
-                    links[cu] = links.get(cu, 0.0) + w
-                sigma[cv] -= self.strength[v]
-                base = links.get(cv, 0.0) - sigma[cv] * self.strength[v] / two_m
-                best_c, best_gain = cv, base
-                for c in sorted(links):
-                    if c == cv:
-                        continue
-                    gain = links[c] - sigma[c] * self.strength[v] / two_m
-                    if gain > best_gain + _GAIN_TOL or (
-                            gain > best_gain - _GAIN_TOL and c < best_c):
-                        best_c, best_gain = c, gain
-                if best_gain <= base + _GAIN_TOL:
-                    best_c = cv
-                sigma[best_c] += self.strength[v]
-                if best_c != cv:
-                    comm[v] = best_c
-                    moved = True
-                    moved_any = True
-            if not moved:
-                return comm, moved_any
+    n, k = len(comm), int(comm.max()) + 1
+    if data is None:
+        data = np.ones(len(indices), dtype=np.int64)
+    a = csr_array((data, indices, indptr), shape=(n, n))
+    p = csr_array((np.ones(n, dtype=np.int64), (np.arange(n), comm)), shape=(n, k))
+    b = (p.T @ a @ p).tocoo()
+    off = b.row != b.col
+    b = csr_array((b.data[off], (b.row[off], b.col[off])), shape=(k, k))
+    return b.indptr, b.indices, b.data
 
-    def aggregate(self, comm: list[int]) -> tuple["_LevelGraph", list[int]]:
-        """Contract communities to vertices; returns the smaller level plus the
-        dense relabeling applied to ``comm``."""
-        relabel: dict[int, int] = {}
-        for c in comm:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-        k = len(relabel)
-        nbrs: list[dict[int, float]] = [{} for _ in range(k)]
-        self_w = [0.0] * k
-        for v, nb in enumerate(self.neighbors):
-            cv = relabel[comm[v]]
-            self_w[cv] += self.self_w[v]
-            for u, w in nb.items():
-                if u <= v:
-                    continue
-                cu = relabel[comm[u]]
-                if cu == cv:
-                    self_w[cv] += w
-                else:
-                    nbrs[cv][cu] = nbrs[cv].get(cu, 0.0) + w
-                    nbrs[cu][cv] = nbrs[cu].get(cv, 0.0) + w
-        return _LevelGraph(nbrs, self_w), [relabel[c] for c in comm]
+
+def _split_rows(indptr: np.ndarray, values: np.ndarray) -> list[list[int]]:
+    bounds = indptr.tolist()
+    flat = values.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def louvain(g: WeightedGraph) -> Partition:
-    """Greedy modularity maximization by local moves plus aggregation.
+    """Greedy modularity maximization by local moves plus aggregation
+    (Blondel et al., arXiv:0803.0476).
 
     Fully deterministic: the scan order is ascending vertex index and ties
     prefer the lowest community id, so the partition depends on the graph
-    alone.
+    alone.  It is therefore computed once per graph object and kept on the
+    graph; later calls return the same :class:`Partition`.  Level 0 reads
+    the graph's own rows with unit weights, and each later level is one
+    sparse product with integer weights, so every gain is an exact integer
+    and no comparison depends on rounding.
     """
+    if g._partition is None:
+        g._partition = _louvain(g)
+    return g._partition
+
+
+def _louvain(g: WeightedGraph) -> Partition:
     if g.n == 0:
         return Partition((), 0)
-    level = _LevelGraph.from_graph(g)
-    membership = list(range(g.n))  # original vertex -> current level vertex
-    best_q = modularity(g, Partition.from_assignment(membership))
+    two_m = 2 * g.edge_count
+    indptr, indices, data = g.indptr, g.indices, None
+    rows, weights = g.adjacency, None
+    strength = np.diff(indptr)  # per level vertex: the degrees of its members, summed
+    membership = np.arange(g.n)  # original vertex -> current level vertex
+    best_q = _modularity(g, membership)
     while True:
-        comm, moved = level.local_moves()
+        comm, moved = _local_moves(rows, weights, strength.tolist(), two_m)
         if not moved:
             break
-        level, comm_dense = level.aggregate(comm)
-        membership = [comm_dense[c] for c in membership]
-        q = modularity(g, Partition.from_assignment(membership))
+        comm = np.asarray(Partition.from_assignment(comm).community_of)
+        membership = comm[membership]
+        q = _modularity(g, membership)
         if q <= best_q + _GAIN_TOL:
             break
         best_q = q
-    return Partition.from_assignment(membership)
+        strength = np.bincount(comm, weights=strength).astype(np.int64)
+        indptr, indices, data = _aggregate(indptr, indices, data, comm)
+        rows, weights = _split_rows(indptr, indices), _split_rows(indptr, data)
+    return Partition.from_assignment(membership.tolist())
 
 
 def _rounding_over_partition(inst: DominationInstance, part: Partition,

@@ -49,6 +49,16 @@ def _as_indices(values, n: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _vertices(values: Iterable[int], n: int) -> np.ndarray:
+    """Vertex indices as int64; ValueError names the first one outside 0..n-1."""
+    values = list(values)
+    arr = _as_indices(values, n)
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        raise ValueError(f"vertex {values[int(np.argmax(bad))]} out of range for n={n}")
+    return arr
+
+
 def _indptr(lengths: np.ndarray) -> np.ndarray:
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
@@ -73,7 +83,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("n", "indptr", "indices", "adjacency", "weights", "labels",
-                 "_label_index", "_weight_array", "_closed")
+                 "_label_index", "_weight_array", "_closed", "_partition")
 
     def __init__(self, adjacency: Sequence[Sequence[int]],
                  weights: Sequence[int],
@@ -142,6 +152,7 @@ class WeightedGraph:
         self._label_index: dict[str, int] | None = None
         self._weight_array: np.ndarray | None = None
         self._closed: tuple[np.ndarray, np.ndarray] | None = None
+        self._partition = None  # set by community.louvain on its first call
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
@@ -251,7 +262,7 @@ class WeightedGraph:
     def subgraph(self, vertices: Iterable[int]) -> tuple["WeightedGraph", np.ndarray]:
         """Induced subgraph on ``vertices`` plus the local->global index map."""
         keep = np.zeros(self.n, dtype=bool)
-        keep[np.fromiter(vertices, dtype=np.int64)] = True
+        keep[_vertices(vertices, self.n)] = True
         verts = np.flatnonzero(keep)
         lengths = np.diff(self.indptr)[verts]
         # the entries of the kept rows, row after row
@@ -392,9 +403,8 @@ def coverage_counts(g: WeightedGraph, candidate) -> np.ndarray:
     Equivalent to stacking :func:`coverage_count` over all vertices, as one
     sum of the membership mask over each row of A + I.
     """
-    members = _member_set(candidate)
     member = np.zeros(g.n, dtype=np.int64)
-    member[np.fromiter(members, dtype=np.int64, count=len(members))] = 1
+    member[_vertices(_member_set(candidate), g.n)] = 1
     if g.n == 0:
         return member
     indptr, indices = g.closed_csr()

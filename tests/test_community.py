@@ -102,8 +102,12 @@ class TestLouvain:
         assert q >= singles
 
     def test_deterministic(self):
+        # two graph objects: louvain keeps its partition on the graph, so a
+        # second call on one object would only return the first result
         g = gen_planted_partition(3, 25, 0.3, 0.02, 9)
-        assert louvain(g).community_of == louvain(g).community_of
+        twin = gen_planted_partition(3, 25, 0.3, 0.02, 9)
+        assert louvain(g) is not louvain(twin)
+        assert louvain(g).community_of == louvain(twin).community_of
 
     def test_every_vertex_assigned(self):
         g = assign_weights(gen_gnm(40, 100, 31), WeightSpec(1, 5), 32)

@@ -260,6 +260,22 @@ def test_subgraph_keeps_weights_and_maps_back():
     assert sub.edge_count == 1  # only 1-2 survives
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_subgraph_rejects_out_of_range_vertices(bad):
+    g = path3()
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        g.subgraph([0, bad, -2])
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_coverage_counts_rejects_out_of_range_members(bad):
+    g = path3()
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        coverage_counts(g, {bad})
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        coverage_counts(g, DominatingSet({1, bad}, 0))
+
+
 def check_representation(g: WeightedGraph, rng: np.random.Generator) -> None:
     """The CSR arrays, the tuple rows, A + I, from_edges, subgraph, coverage
     and demands against plain-Python references."""
