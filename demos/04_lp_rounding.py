@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from alphadom import (DominatingSet, DominationInstance, RoundingConfig,
-                      WeightSpec, assign_weights, brute_force_opt, build_lp,
+from alphadom import (DominatingSet, DominationInstance, WeightSpec, assign_weights, brute_force_opt, build_lp,
                       certify, default_max_rounds, gen_gnm, is_feasible,
-                      randomized_rounding, repair, round_once, solve_lp)
+                      randomized_rounding, repair, round_once,
+                      round_until_feasible, solve_lp)
 
 g = assign_weights(gen_gnm(12, 30, seed=5), WeightSpec(1, 71), seed=6)
 inst = DominationInstance(g, Fraction(1, 2))
@@ -47,10 +47,16 @@ print(f"  repair(empty) -> size={len(fixed)} weight={fixed.total_weight} "
       f"feasible={is_feasible(inst, fixed)}")
 
 rounds = default_max_rounds(g)
+print(f"\nthe pass loop: union up to {rounds} passes, stop at the first feasible union")
+union = round_until_feasible(inst, frac.values, np.random.default_rng(3), rounds)
+same = repair(inst, union).members == randomized_rounding(inst, 3, fractional=frac).members
+print(f"  seed 3: union size={len(union)} feasible={is_feasible(inst, union)}; "
+      f"after repair it is randomized_rounding(inst, 3): {same}")
+
 print(f"\nfull amplified run (up to {rounds} passes, early exit, then repair):")
 weights = []
 for seed in range(200):
-    d = randomized_rounding(inst, RoundingConfig(seed=seed))
+    d = randomized_rounding(inst, seed)
     assert is_feasible(inst, d)
     weights.append(d.total_weight)
 print(f"  200 seeds: min={min(weights)} mean={statistics.fmean(weights):.1f} "

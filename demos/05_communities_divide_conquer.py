@@ -1,17 +1,21 @@
 """Divide and conquer on modular graphs: detect communities, solve each alone.
 
-Solving one relaxation per community is much faster than one global program
-(simplex cost grows superlinearly), and on graphs with genuine modular
+Solving one relaxation per community gets cheaper than one global program as
+the graph grows (acceptance criterion 6 measures it at n = 1000; at the 400
+vertices here the two cost about the same), and on graphs with genuine modular
 structure the stitched solution is also lighter on average: each community
 stops rounding as soon as it is locally covered, instead of the whole graph
 paying for the slowest corner.
+
+Both solvers take the instance and a seed, and both run the same rounding
+pass loop; the split one runs it once per community, with a generator seeded
+by (seed, community id) and the pass budget of the whole graph.
 """
 import statistics
 import time
 from fractions import Fraction
 
-from alphadom import (DominationInstance, RoundingConfig, WeightSpec,
-                      assign_weights, community_rounding, gen_planted_partition,
+from alphadom import (DominationInstance, WeightSpec, assign_weights, community_rounding, gen_planted_partition,
                       is_feasible, louvain, modularity, planted_block_assignment,
                       randomized_rounding)
 
@@ -34,11 +38,11 @@ for i in range(GRAPHS):
 
     rr_w, wc_w, rr_t, wc_t = [], [], [], []
     for s in range(SEEDS):
-        cfg = RoundingConfig(seed=1000 * i + s)
+        seed = 1000 * i + s
         t0 = time.perf_counter()
-        rr = randomized_rounding(inst, cfg)
+        rr = randomized_rounding(inst, seed)
         t1 = time.perf_counter()
-        wc = community_rounding(inst, cfg)
+        wc = community_rounding(inst, seed)
         t2 = time.perf_counter()
         assert is_feasible(inst, rr) and is_feasible(inst, wc)
         rr_w.append(rr.total_weight)
@@ -55,8 +59,8 @@ for i, (rw, ww, rt, wt) in enumerate(rows):
 mean_rr = statistics.fmean(r[0] for r in rows)
 mean_wc = statistics.fmean(r[1] for r in rows)
 speed = statistics.fmean(r[2] for r in rows) / statistics.fmean(r[3] for r in rows)
-print(f"\nmeans: global={mean_rr:.0f} split={mean_wc:.0f}; split is {speed:.0f}x faster")
-print("the split solver keeps solution weight in the same band at a fraction")
-print("of the cost; its quality edge on modular graphs is a small-mean effect,")
+print(f"\nmeans: global={mean_rr:.0f} split={mean_wc:.0f}; split is {speed:.1f}x faster")
+print("the split solver keeps solution weight in the same band; its quality")
+print("edge on modular graphs is a small-mean effect,")
 print("visible over larger batches (see the acceptance suite) rather than")
 print("guaranteed per run")

@@ -29,7 +29,7 @@ from .lp import (Certificate, FractionalSolution, LinearProgram, SimplexError,
 from .oracle import (InstanceTooLargeError, OracleResult, brute_force_opt,
                      check_theorem_half, poisson_binomial_pmf,
                      poisson_binomial_tail)
-from .rounding import (RoundingConfig, default_max_rounds, randomized_rounding,
-                       repair, round_once)
+from .rounding import (default_max_rounds, randomized_rounding, repair,
+                       round_once, round_until_feasible)
 
 __version__ = "0.1.0"

@@ -83,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coverage rate in (0,1]; accepts 1/4 or 0.25")
     solve.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--rounds", type=int, default=None,
-                       help="rounding passes (default: ceil(log2(max degree)))")
-    solve.add_argument("--threshold-upper", type=float, default=0.5,
-                       help="upper end of the rounding draw interval")
     solve.add_argument("--out", help="solution file (one vertex label per line)")
     solve.add_argument("--dump-lp", help="also write the relaxation in LP text format")
 
@@ -149,18 +145,8 @@ def _cmd_solve(args) -> int:
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(build_lp(inst)))
-    if args.algo in ("rr", "rrwc"):
-        from .community import community_rounding
-        from .rounding import RoundingConfig, randomized_rounding
-        cfg = RoundingConfig(threshold_upper=args.threshold_upper,
-                             max_rounds=args.rounds, seed=args.seed)
-        fn = randomized_rounding if args.algo == "rr" else community_rounding
-        started = time.perf_counter()
-        solution = fn(inst, cfg)
-    else:
-        solver = ALGORITHMS[args.algo]
-        started = time.perf_counter()
-        solution = solver(inst, args.seed)
+    started = time.perf_counter()
+    solution = ALGORITHMS[args.algo](inst, args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     report = deficiency(inst, solution)

@@ -1,14 +1,16 @@
 """Randomized rounding of the covering relaxation, with amplification and repair.
 
 The relaxation is solved once; its optimum is rounded independently per
-vertex up to a maximum number of passes, unioning the passes until the
+vertex in up to ceil(log2(max degree)) passes, unioning the passes until the
 accumulated set is feasible.  A deterministic repair sweep then fills any
 remaining per-vertex shortfall, so the returned set is feasible for every
-seed.
+seed.  Every draw comes from [0, THRESHOLD_UPPER) rather than [0, 1), which
+inflates each inclusion probability to min(1, x / THRESHOLD_UPPER): any
+fractional value of at least one half is a certain pick.  The same pass loop,
+:func:`round_until_feasible`, serves the per-community rounding of
+:mod:`alphadom.community`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,43 +19,34 @@ from .graph import (DominatingSet, DominationInstance, WeightedGraph,
 from .lp import FractionalSolution, build_lp, solve_lp
 
 
+THRESHOLD_UPPER = 0.5  # upper end of every rounding draw
+
+
 def default_max_rounds(g: WeightedGraph) -> int:
     """ceil(log2(max degree)), never below 1."""
     return max(1, (g.max_degree() - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class RoundingConfig:
-    """Knobs for the randomized rounding passes.
-
-    Drawing thresholds from [0, threshold_upper) instead of [0, 1) inflates
-    every inclusion probability to min(1, x/threshold_upper); the 0.5 default
-    makes any fractional value of at least one half a certain pick.
-    ``max_rounds=None`` means ceil(log2(max degree)) of the instance graph,
-    clamped to at least 1.
-    """
-
-    threshold_upper: float = 0.5
-    max_rounds: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold_upper <= 1.0:
-            raise ValueError(f"threshold_upper must be in (0, 1], got {self.threshold_upper}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-
-    def rounds_for(self, g: WeightedGraph) -> int:
-        return self.max_rounds if self.max_rounds is not None else default_max_rounds(g)
-
-
-def round_once(values: np.ndarray, rng: np.random.Generator,
-               threshold_upper: float = 0.5) -> np.ndarray:
+def round_once(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One independent rounding pass: include i iff a fresh draw from
-    [0, threshold_upper) falls strictly below values[i].  Returns the
+    [0, THRESHOLD_UPPER) falls strictly below values[i].  Returns the
     included indices, ascending."""
-    draws = rng.random(len(values)) * threshold_upper
+    draws = rng.random(len(values)) * THRESHOLD_UPPER
     return np.nonzero(draws < values)[0]
+
+
+def round_until_feasible(inst: DominationInstance, values: np.ndarray,
+                         rng: np.random.Generator, rounds: int) -> DominatingSet:
+    """Union up to ``rounds`` passes of :func:`round_once`, stopping at the
+    first union that is feasible.  The result may still fall short."""
+    g = inst.graph
+    accumulated = DominatingSet.empty()
+    for _ in range(rounds):
+        for v in round_once(values, rng):
+            accumulated.add(g, int(v))
+        if is_feasible(inst, accumulated):
+            break
+    return accumulated
 
 
 def repair(inst: DominationInstance, candidate: DominatingSet) -> DominatingSet:
@@ -81,24 +74,16 @@ def repair(inst: DominationInstance, candidate: DominatingSet) -> DominatingSet:
     return out
 
 
-def randomized_rounding(inst: DominationInstance, cfg: RoundingConfig,
+def randomized_rounding(inst: DominationInstance, seed: int,
                         fractional: FractionalSolution | None = None) -> DominatingSet:
     """Amplified randomized rounding; always returns a feasible set.
 
     The relaxation is solved once up front (``fractional`` lets callers reuse
-    a solution they already have).  Rounding passes accumulate a union and
-    stop early as soon as the union is feasible; the repair sweep guarantees
-    feasibility even when every pass is unlucky.
+    a solution they already have).  Up to :func:`default_max_rounds` passes,
+    drawn from ``default_rng(seed)``, go through :func:`round_until_feasible`;
+    the repair sweep guarantees feasibility even when every pass is unlucky.
     """
-    g = inst.graph
     frac = fractional if fractional is not None else solve_lp(build_lp(inst))
-    rng = np.random.default_rng(cfg.seed)
-    rounds = cfg.rounds_for(g)
-
-    accumulated = DominatingSet.empty()
-    for _ in range(rounds):
-        for v in round_once(frac.values, rng, cfg.threshold_upper):
-            accumulated.add(g, int(v))
-        if is_feasible(inst, accumulated):
-            break
-    return repair(inst, accumulated)
+    rng = np.random.default_rng(seed)
+    rounded = round_until_feasible(inst, frac.values, rng, default_max_rounds(inst.graph))
+    return repair(inst, rounded)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from alphadom import (ALGORITHMS, DominationInstance, ExperimentConfig, Partition,
-                      RoundingConfig, Strategy, WeightSpec, assign_weights,
+                      Strategy, WeightSpec, assign_weights,
                       brute_force_opt, build_lp, certify, check_theorem_half,
                       community_rounding, connected_components, default_max_rounds,
                       derive_seed, gen_gnm, gen_planted_partition,
@@ -106,9 +106,9 @@ def test_criterion_1_feasibility_universality():
         part = louvain(g)
         for s in range(5):
             seed = derive_seed(BASE, "acc1-run", idx, s)
-            rr = randomized_rounding(inst, RoundingConfig(seed=seed), fractional=frac)
+            rr = randomized_rounding(inst, seed, fractional=frac)
             failures += not is_feasible(inst, rr)
-            wc = community_rounding(inst, RoundingConfig(seed=seed), partition=part)
+            wc = community_rounding(inst, seed, partition=part)
             failures += not is_feasible(inst, wc)
             runs += 2
     elapsed = time.perf_counter() - started
@@ -141,9 +141,9 @@ def test_criterion_2_oracle_optimality_bounds():
 
         envelope = 4 * default_max_rounds(g) * opt
         for s in range(2):
-            cfg = RoundingConfig(seed=derive_seed(BASE, "acc2-s", i, s))
-            w_rr = randomized_rounding(inst, cfg).total_weight
-            w_wc = community_rounding(inst, cfg).total_weight
+            seed = derive_seed(BASE, "acc2-s", i, s)
+            w_rr = randomized_rounding(inst, seed).total_weight
+            w_wc = community_rounding(inst, seed).total_weight
             rand_violations += (w_rr < opt) + (w_wc < opt)
             envelope_violations += w_rr > envelope
     ok = (lp_violations + greedy_violations + rand_violations + envelope_violations) == 0
@@ -249,8 +249,8 @@ def test_criterion_5_partitioned_rounding_wins_on_modular_graphs():
         rr_w, wc_w = [], []
         for s in range(seeds_per_graph):
             seed = derive_seed(BASE, "acc5-s", i, s)
-            rr = randomized_rounding(inst, RoundingConfig(seed=seed), fractional=frac)
-            wc = community_rounding(inst, RoundingConfig(seed=seed), partition=part)
+            rr = randomized_rounding(inst, seed, fractional=frac)
+            wc = community_rounding(inst, seed, partition=part)
             assert is_feasible(inst, rr) and is_feasible(inst, wc)
             rr_w.append(rr.total_weight)
             wc_w.append(wc.total_weight)
@@ -276,11 +276,11 @@ def test_criterion_6_partitioned_rounding_speedup():
         g = assign_weights(gen_gnm(1000, 10_000, derive_seed(BASE, "acc6-g", i)),
                            WeightSpec(1, 71), derive_seed(BASE, "acc6-w", i))
         inst = DominationInstance(g, Fraction(1, 2))
-        cfg = RoundingConfig(seed=derive_seed(BASE, "acc6-s", i))
+        seed = derive_seed(BASE, "acc6-s", i)
         t0 = time.perf_counter()
-        rr = randomized_rounding(inst, cfg)
+        rr = randomized_rounding(inst, seed)
         t1 = time.perf_counter()
-        wc = community_rounding(inst, cfg)
+        wc = community_rounding(inst, seed)
         t2 = time.perf_counter()
         assert is_feasible(inst, rr) and is_feasible(inst, wc)
         rr_times.append(t1 - t0)

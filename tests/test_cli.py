@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from alphadom import WeightSpec, assign_weights, gen_gnm, ingest_graph
+from alphadom import (ALGORITHMS, DominationInstance, WeightSpec, assign_weights,
+                      gen_gnm, ingest_graph)
 from alphadom.cli import main
-from alphadom.io import write_edge_list, write_weight_table
+from alphadom.io import read_solution, write_edge_list, write_weight_table
 
 
 @pytest.fixture()
@@ -58,11 +60,31 @@ class TestSolveAndVerify:
         assert code == 0
         stats = json.loads(out)
         assert stats["feasible"] is True and stats["weight"] > 0
+        g = ingest_graph(d / "g.edges", d / "g.weights")
+        expected = ALGORITHMS[algo](DominationInstance(g, Fraction(1, 2)), 7)
+        assert read_solution(g, d / "sol.txt").members == expected.members
         code, out, _ = run(capsys, "verify", "--edges", str(d / "g.edges"),
                            "--weights", str(d / "g.weights"), "--alpha", "1/2",
                            "--solution", str(d / "sol.txt"))
         assert code == 0
         assert json.loads(out)["feasible"] is True
+
+    @pytest.mark.parametrize("algo", ["rr", "rrwc"])
+    def test_solve_passes_its_seed_to_the_solver(self, tmp_path, capsys, algo):
+        # on the small fixture graph every seed rounds to the same set; here
+        # seeds 7 and 8 differ, so a seed lost on the way to ALGORITHMS shows
+        g = assign_weights(gen_gnm(60, 240, 9), WeightSpec(1, 71), 10)
+        write_edge_list(g, tmp_path / "g.edges")
+        write_weight_table(g, tmp_path / "g.weights")
+        g = ingest_graph(tmp_path / "g.edges", tmp_path / "g.weights")
+        inst = DominationInstance(g, Fraction(1, 2))
+        expected = ALGORITHMS[algo](inst, 7).members
+        assert expected != ALGORITHMS[algo](inst, 8).members
+        code, _, _ = run(capsys, "solve", "--edges", str(tmp_path / "g.edges"),
+                         "--weights", str(tmp_path / "g.weights"), "--alpha", "1/2",
+                         "--algo", algo, "--seed", "7", "--out", str(tmp_path / "sol.txt"))
+        assert code == 0
+        assert read_solution(g, tmp_path / "sol.txt").members == expected
 
     @pytest.mark.parametrize("algo", ["rr", "rrwc"])
     def test_sets_do_not_depend_on_thread_count(self, tmp_path, algo):
@@ -106,12 +128,20 @@ class TestSolveAndVerify:
         d = small_graph_files
         code, out, _ = run(capsys, "solve", "--edges", str(d / "g.edges"),
                            "--weights", str(d / "g.weights"), "--alpha", "0.25",
-                           "--algo", "rr", "--seed", "3", "--rounds", "2",
-                           "--threshold-upper", "0.5",
+                           "--algo", "rr", "--seed", "3",
                            "--dump-lp", str(d / "prog.lp"))
         assert code == 0
         text = (d / "prog.lp").read_text()
         assert text.startswith("\\") and "Minimize" in text
+
+    @pytest.mark.parametrize("flag, value", [("--rounds", "2"), ("--threshold-upper", "0.5")])
+    def test_rounding_knobs_are_gone(self, small_graph_files, capsys, flag, value):
+        # every solver runs at its defaults, through the same registry as the bench
+        d = small_graph_files
+        code, _, err = run(capsys, "solve", "--edges", str(d / "g.edges"),
+                           "--weights", str(d / "g.weights"), "--alpha", "1/2",
+                           "--algo", "rr", flag, value)
+        assert code == 1 and flag in err
 
     def test_alpha_accepts_decimals_and_fractions(self, small_graph_files, capsys):
         d = small_graph_files
@@ -149,6 +179,23 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
                            "--out", str(tmp_path / "x"))
         assert code == 1 and err
+
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        cfg = {"alphas": ["1/2"], "algorithm": ["greedy-s1"],
+               "sources": [{"kind": "gnm", "label": "er", "n": 15, "m": 30}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and "'algorithm'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_file_source_without_paths_exit_code(self, tmp_path, capsys):
+        cfg = {"sources": [{"kind": "file", "label": "mine"}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and "'mine'" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestCommunitiesAndOracle:

@@ -5,10 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from alphadom import (DominationInstance, Partition, RoundingConfig,
-                      WeightedGraph, community_rounding, gen_planted_partition,
-                      is_feasible, louvain, modularity, planted_block_assignment)
-from alphadom.community import _rounding_over_partition
+from alphadom import (DominationInstance, Partition, WeightedGraph,
+                      community_rounding, gen_planted_partition, is_feasible,
+                      louvain, modularity, planted_block_assignment)
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
 
 from .strategies import instances
@@ -52,7 +51,6 @@ class TestPartitionType:
 
     def test_members_listing(self):
         p = Partition((0, 1, 0), 2)
-        assert p.members(0) == [0, 2]
         assert p.communities() == [[0, 2], [1]]
 
 
@@ -120,14 +118,14 @@ class TestCommunityRounding:
     def test_two_disconnected_k2s(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [2, 7, 2, 7])
         inst = DominationInstance(g, Fraction(1, 2))
-        d = community_rounding(inst, RoundingConfig(seed=4))
+        d = community_rounding(inst, 4)
         assert d.members == {0, 2}
         assert d.total_weight == 4
 
     def test_single_community_graph(self):
         g = WeightedGraph.from_edges(4, list(combinations(range(4), 2)), [3, 1, 4, 1])
         inst = DominationInstance(g, Fraction(1, 2))
-        d = community_rounding(inst, RoundingConfig(seed=8))
+        d = community_rounding(inst, 8)
         assert is_feasible(inst, d)
 
     def test_cross_community_demands_repaired(self):
@@ -139,35 +137,35 @@ class TestCommunityRounding:
         inst = DominationInstance(g, Fraction(3, 4))
         forced = Partition((0, 0, 0, 1, 1, 1), 2)
         for seed in range(10):
-            d = _rounding_over_partition(inst, forced, RoundingConfig(seed=seed))
+            d = community_rounding(inst, seed, partition=forced)
             assert is_feasible(inst, d)
             assert len(d.members & {3, 4, 5}) >= 2  # demand(0) = 5 of N[0]
 
     def test_singleton_communities_enter_directly(self):
         g = WeightedGraph.from_edges(3, [], [4, 4, 4])
         inst = DominationInstance(g, Fraction(1, 2))
-        d = community_rounding(inst, RoundingConfig(seed=2))
+        d = community_rounding(inst, 2)
         assert d.members == {0, 1, 2}
 
     def test_determinism_under_seed(self):
         g = assign_weights(gen_planted_partition(3, 20, 0.4, 0.02, 6),
                            WeightSpec(1, 71), 7)
         inst = DominationInstance(g, Fraction(1, 4))
-        a = community_rounding(inst, RoundingConfig(seed=99))
-        b = community_rounding(inst, RoundingConfig(seed=99))
+        a = community_rounding(inst, 99)
+        b = community_rounding(inst, 99)
         assert a.members == b.members
 
     def test_explicit_partition_is_honored(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [2, 7, 2, 7])
         inst = DominationInstance(g, Fraction(1, 2))
         one_block = Partition((0, 0, 0, 0), 1)
-        d = community_rounding(inst, RoundingConfig(seed=4), partition=one_block)
+        d = community_rounding(inst, 4, partition=one_block)
         assert is_feasible(inst, d)
 
 
 @settings(max_examples=50, deadline=None)
 @given(instances())
 def test_community_rounding_always_feasible(inst):
-    d = community_rounding(inst, RoundingConfig(seed=17))
+    d = community_rounding(inst, 17)
     assert is_feasible(inst, d)
     assert d.total_weight == d.recomputed_weight(inst.graph)

@@ -3,14 +3,12 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from alphadom import (DominatingSet, DominationInstance, RoundingConfig,
-                      WeightedGraph, build_lp, community_rounding,
-                      default_max_rounds, is_feasible,
-                      poisson_binomial_tail, randomized_rounding, repair,
-                      round_once, solve_lp)
+from alphadom import (DominatingSet, DominationInstance, WeightedGraph,
+                      build_lp, community_rounding, default_max_rounds,
+                      is_feasible, poisson_binomial_tail, randomized_rounding,
+                      repair, round_once, solve_lp)
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
 
 from .strategies import instances
@@ -22,12 +20,6 @@ class TestConfig:
         assert default_max_rounds(g) == 1  # edgeless clamps to 1
         star = WeightedGraph.from_edges(9, [(0, v) for v in range(1, 9)], [1] * 9)
         assert default_max_rounds(star) == 3  # ceil(log2(8))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RoundingConfig(threshold_upper=0.0)
-        with pytest.raises(ValueError):
-            RoundingConfig(max_rounds=0)
 
 
 class TestRoundOnce:
@@ -43,13 +35,13 @@ class TestRoundOnce:
         rng = np.random.default_rng(3)
         values = np.full(200, 0.5)
         for _ in range(20):
-            assert len(round_once(values, rng, 0.5)) == 200
+            assert len(round_once(values, rng)) == 200
 
     def test_quarter_value_hits_half_probability(self):
         # value 0.25 against draws from [0, 0.5): inclusion probability 1/2
         rng = np.random.default_rng(42)
         values = np.full(10_000, 0.25)
-        freq = len(round_once(values, rng, 0.5)) / 10_000
+        freq = len(round_once(values, rng)) / 10_000
         assert abs(freq - 0.5) < 0.02
 
     def test_inflated_inclusion_never_below_plain(self):
@@ -93,23 +85,23 @@ class TestRandomizedRounding:
     def test_k2_example(self):
         g = WeightedGraph.from_edges(2, [(0, 1)], [2, 7])
         inst = DominationInstance(g, Fraction(1, 2))
-        d = randomized_rounding(inst, RoundingConfig(seed=5))
+        d = randomized_rounding(inst, 5)
         assert 0 in d.members  # x-hat = (1, 0): vertex 0 always picked
         assert is_feasible(inst, d)
 
     def test_alpha_one_takes_everything_in_one_round(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)], [2, 2, 2, 2])
         inst = DominationInstance(g, 1)
-        d = randomized_rounding(inst, RoundingConfig(seed=11, max_rounds=1))
+        d = randomized_rounding(inst, 11)
         assert d.members == {0, 1, 2, 3}
 
     def test_determinism_under_seed(self):
         g = assign_weights(gen_gnm(60, 240, 9), WeightSpec(1, 71), 10)
         inst = DominationInstance(g, Fraction(1, 4))
-        a = randomized_rounding(inst, RoundingConfig(seed=123))
-        b = randomized_rounding(inst, RoundingConfig(seed=123))
+        a = randomized_rounding(inst, 123)
+        b = randomized_rounding(inst, 123)
         assert a.members == b.members
-        c = randomized_rounding(inst, RoundingConfig(seed=124))
+        c = randomized_rounding(inst, 124)
         assert is_feasible(inst, c)
 
     def test_feasible_for_many_seeds(self):
@@ -117,7 +109,7 @@ class TestRandomizedRounding:
         inst = DominationInstance(g, Fraction(1, 2))
         frac = solve_lp(build_lp(inst))
         for seed in range(25):
-            d = randomized_rounding(inst, RoundingConfig(seed=seed), fractional=frac)
+            d = randomized_rounding(inst, seed, fractional=frac)
             assert is_feasible(inst, d)
 
     def test_union_monotone_across_rounds(self):
@@ -156,6 +148,6 @@ def test_degree_1e5_hub_rounds_in_bounded_time():
                                  [1 + v % 71 for v in range(leaves + 1)])
     inst = DominationInstance(g, Fraction(1, 2))
     for solver in (randomized_rounding, community_rounding):
-        d = solver(inst, RoundingConfig(seed=3))
+        d = solver(inst, 3)
         assert is_feasible(inst, d)
     assert time.perf_counter() - start < 60.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphadom import (DominationInstance, RoundingConfig, community_rounding,
+from alphadom import (ALGORITHMS, DominationInstance, community_rounding,
                       gen_planted_partition, louvain)
 from alphadom.generators import WeightSpec, assign_weights
 
@@ -43,7 +43,7 @@ def test_every_rrwc_call_traces_louvain_and_its_community_lps(tracer):
     with tracer.Tracer() as t:
         for alpha in (Fraction(1, 4), Fraction(1, 2)):
             with t.operation("rrwc", None) as op:
-                community_rounding(DominationInstance(g, alpha), RoundingConfig(seed=1))
+                community_rounding(DominationInstance(g, alpha), 1)
             calls.append(op)
     assert t.missing == []
     for op in calls:
@@ -54,3 +54,23 @@ def test_every_rrwc_call_traces_louvain_and_its_community_lps(tracer):
         sizes = np.bincount(partition.community_of)
         assert (sizes > 1).sum() >= 2
         assert len(t.within(op, "solve_lp")) == (sizes > 1).sum()
+
+
+@pytest.mark.parametrize("algorithm, key, layer", [
+    ("greedy-s1", "greedy", "greedy"), ("greedy-s2", "greedy", "greedy"),
+    ("greedy-s3", "greedy", "greedy"), ("rr", "rr", "rounding"),
+    ("rrwc", "rrwc", "community"),
+])
+def test_every_registry_call_gives_one_solver_span(tracer, algorithm, key, layer):
+    # the benchmark times each solver through ALGORITHMS and wraps the solvers
+    # by their names in alphadom.bench; an entry that held the function object
+    # itself would bypass the wrapper, and its time would count as bench's own
+    g = assign_weights(gen_planted_partition(4, 25, 0.3, 0.01, 3), WeightSpec(1, 71), 4)
+    inst = DominationInstance(g, Fraction(1, 2))
+    with tracer.Tracer() as t:
+        with t.operation("op", None) as op:
+            ALGORITHMS[algorithm](inst, 1)
+    spans = t.within(op, key)
+    assert len(spans) == 1
+    assert spans[0].layer == layer
+    assert spans[0].parent == t.spans.index(op)
