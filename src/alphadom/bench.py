@@ -13,7 +13,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +70,15 @@ ALGORITHMS = {
 }
 
 
+# a generated source's parameters are its spec's fields (string annotations)
+_GENERATORS = {"gnm": GnmSpec, "powerlaw-cluster": PowerlawClusterSpec,
+               "planted-partition": PlantedPartitionSpec}
+_FIELD_TYPES = {"int": int, "float": float}
+_SOURCE_KEYS = {"file": {"edges", "weight_table", "bundle"},
+                **{kind: {"count", "weights", *(f.name for f in fields(spec))}
+                   for kind, spec in _GENERATORS.items()}}
+
+
 @dataclass(frozen=True)
 class GraphSource:
     """One named producer of graphs: a generator spec with a count, or files.
@@ -90,6 +99,9 @@ class GraphSource:
     bundle_path: str | None = None
 
     def __post_init__(self):
+        if self.kind not in _SOURCE_KEYS:
+            raise ValueError(f"unknown source kind {self.kind!r}; "
+                             f"known: {', '.join(sorted(_SOURCE_KEYS))}")
         if self.kind == "file" and self.edge_path is None and self.bundle_path is None:
             raise ValueError(f"file source {self.label!r} needs 'edges' or 'bundle'")
 
@@ -112,16 +124,9 @@ class GraphSource:
         return g
 
     def _gen_spec(self):
-        p = self.params
-        if self.kind == "gnm":
-            return GnmSpec(int(p["n"]), int(p["m"]))
-        if self.kind == "powerlaw-cluster":
-            return PowerlawClusterSpec(int(p["n"]), int(p["edges_per_new_vertex"]),
-                                       float(p["triangle_prob"]))
-        if self.kind == "planted-partition":
-            return PlantedPartitionSpec(int(p["l"]), int(p["community_size"]),
-                                        float(p["p_in"]), float(p["p_out"]))
-        raise ValueError(f"unknown source kind {self.kind!r}")
+        spec = _GENERATORS[self.kind]
+        return spec(**{f.name: _FIELD_TYPES[f.type](self.params[f.name])
+                       for f in fields(spec)})
 
 
 _CONFIG_KEYS = {"base_seed", "repetitions", "alphas", "algorithms", "sources"}
@@ -154,11 +159,10 @@ class ExperimentConfig:
         sources = []
         for entry in payload.get("sources", []):
             entry = dict(entry)
-            kind = entry.pop("kind")
-            label = entry.pop("label")
+            keys = set(entry) - {"kind", "label"}
             weights = entry.pop("weights", None)
-            src = GraphSource(
-                label=label, kind=kind,
+            source = GraphSource(
+                label=entry.pop("label"), kind=entry.pop("kind"),
                 count=int(entry.pop("count", 1)),
                 weights=tuple(weights) if weights else None,
                 edge_path=entry.pop("edges", None),
@@ -166,7 +170,11 @@ class ExperimentConfig:
                 bundle_path=entry.pop("bundle", None),
                 params=entry,
             )
-            sources.append(src)
+            unknown = sorted(keys - _SOURCE_KEYS[source.kind])
+            if unknown:
+                raise ValueError(f"source {source.label!r}: unknown key {unknown[0]!r}; accepted: "
+                                 f"kind, label, {', '.join(sorted(_SOURCE_KEYS[source.kind]))}")
+            sources.append(source)
         kwargs = {}
         if "alphas" in payload:
             kwargs["alphas"] = tuple(as_alpha(a) for a in payload["alphas"])

@@ -4,13 +4,13 @@ The relaxation has one row per vertex, summing the membership variables of
 the closed neighborhood against the vertex demand, with every variable boxed
 to [0, 1].  The constraint matrix is A + I of the graph, kept sparse.
 
-:func:`solve_lp` hands the program to HiGHS (Huangfu & Hall, Math. Prog.
-Comp. 2018) through ``scipy.optimize.milp`` with no integer variables, which
-runs HiGHS's simplex and returns a vertex.  :func:`certify` checks any
-solution, from any backend, in exact rational arithmetic with the safe dual
-bound of Neumaier & Shcherbina (Math. Prog. 2004).  scipy is imported inside
-the functions that need it, so commands that never solve an LP do not pay
-for importing it.
+:func:`solve_lp` hands the rows to HiGHS (Huangfu & Hall, Math. Prog. Comp.
+2018) through the solver object bundled with scipy, in one run that yields the
+vertex, the row duals and the simplex iteration count.  :func:`certify`
+checks a solution with those duals in exact rational arithmetic, using the
+safe dual bound of Neumaier & Shcherbina (Math. Prog. 2004), and runs no
+solver.  scipy is imported inside :func:`solve_lp`, so commands that never
+solve an LP do not pay for importing it.
 """
 from __future__ import annotations
 
@@ -63,15 +63,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Optimal vertex of the relaxation.
-
-    ``iterations`` is always 0: ``scipy.optimize.milp`` does not report
-    HiGHS's simplex iteration count.
-    """
+    """Optimal vertex of the relaxation, with the row duals and the simplex
+    iteration count of the HiGHS run that found it."""
 
     values: np.ndarray           # x, clipped to [0, 1]^n, no signed zeros
     objective_value: float
     iterations: int
+    duals: np.ndarray            # one per row, nonnegative up to rounding
 
 
 def build_lp(inst: DominationInstance) -> LinearProgram:
@@ -87,48 +85,42 @@ def build_lp(inst: DominationInstance) -> LinearProgram:
     )
 
 
-def _constraint_matrix(lp: LinearProgram):
-    """The rows as a CSR matrix of ones (A + I for a graph's relaxation)."""
-    from scipy.sparse import csr_array
-    return csr_array((np.ones(len(lp.indices)), lp.indices, lp.indptr),
-                     shape=(len(lp.bounds), lp.n_vars))
-
-
 def solve_lp(lp: LinearProgram) -> FractionalSolution:
-    """Optimal vertex of the relaxation, from HiGHS.
+    """Optimal vertex of the relaxation, from one HiGHS run.
 
-    Raises :class:`SimplexError`, naming n, the HiGHS status and its
-    message, when HiGHS reports anything but an optimum.
+    The CSR rows go to HiGHS row-wise, with only its log switched off.
+    Raises :class:`SimplexError`, naming n, the iterations reached and the
+    model status, when HiGHS reports anything but an optimum.
     """
-    m = len(lp.bounds)
-    n = lp.n_vars
+    m, n = len(lp.bounds), lp.n_vars
     if m == 0 or n == 0:
-        return FractionalSolution(np.zeros(n), 0.0, 0)
+        return FractionalSolution(np.zeros(n), 0.0, 0, np.zeros(m))
 
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize._highspy import _core as highs
     c = lp.weights.astype(float)
-    res = milp(c, constraints=LinearConstraint(_constraint_matrix(lp),
-                                               lb=lp.bounds.astype(float), ub=np.inf),
-               bounds=Bounds(0.0, 1.0))
-    if res.status != 0:
-        raise SimplexError(f"HiGHS found no optimum for n={n}: "
-                           f"status {res.status}: {res.message}")
-    values = np.clip(res.x, 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
-    return FractionalSolution(values, float(c @ values), 0)
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = n, m
+    model.col_cost_ = c
+    model.col_lower_, model.col_upper_ = np.zeros(n), np.ones(n)
+    model.row_lower_, model.row_upper_ = lp.bounds.astype(float), np.full(m, highs.kHighsInf)
+    matrix = model.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kRowwise  # HiGHS takes its shape from the model
+    matrix.start_, matrix.index_ = lp.indptr, lp.indices
+    matrix.value_ = np.ones(len(lp.indices))
 
-
-def highs_duals(lp: LinearProgram) -> np.ndarray:
-    """Dual value of each covering row (nonnegative up to rounding), from
-    HiGHS through ``scipy.optimize.linprog``."""
-    if len(lp.bounds) == 0 or lp.n_vars == 0:
-        return np.zeros(len(lp.bounds))
-    from scipy.optimize import linprog
-    res = linprog(lp.weights.astype(float), A_ub=-_constraint_matrix(lp),
-                  b_ub=-lp.bounds.astype(float), bounds=(0.0, 1.0), method="highs")
-    if res.status != 0:
-        raise SimplexError(f"HiGHS found no optimum for n={lp.n_vars}: "
-                           f"status {res.status}: {res.message}")
-    return -res.ineqlin.marginals
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.passModel(model)
+    run_status = solver.run()
+    status = solver.getModelStatus()
+    iterations = solver.getInfo().simplex_iteration_count
+    if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+        raise SimplexError(f"HiGHS found no optimum for n={n} after {iterations} "
+                           f"simplex iterations: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    values = np.clip(solution.col_value, 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
+    return FractionalSolution(values, float(c @ values), iterations,
+                              np.asarray(solution.row_dual))
 
 
 @dataclass(frozen=True)
@@ -146,16 +138,16 @@ class Certificate:
 
 
 def certify(lp: LinearProgram, sol: FractionalSolution) -> Certificate:
-    """Certify ``sol`` in exact rational arithmetic, whatever solved it.
+    """Certify ``sol`` in exact rational arithmetic; no solver runs.
 
-    The row duals y come from :func:`highs_duals`, rationalized with
-    denominators up to 10**9 and clamped at 0.  With z = max(0, A^T y - w)
-    the pair (y, z) is dual feasible by construction, so b.y - sum(z) is a
-    lower bound on the optimum however inexact y is (Neumaier & Shcherbina,
-    Math. Prog. 2004).  The primal is rationalized with denominators up to
-    10**6 and checked against every row and box exactly; the certificate
-    holds when it is feasible and its objective is within a relative 1e-9 of
-    the bound.  The cost is O(nnz) Fraction operations.
+    The row duals y are ``sol.duals``, rationalized with denominators up to
+    10**9 and clamped at 0.  With z = max(0, A^T y - w) the pair (y, z) is
+    dual feasible by construction, so b.y - sum(z) is a lower bound on the
+    optimum however inexact y is (Neumaier & Shcherbina, Math. Prog. 2004).
+    The primal is rationalized with denominators up to 10**6 and checked
+    against every row and box exactly; the certificate holds when it is
+    feasible and its objective is within a relative 1e-9 of the bound.  The
+    cost is O(nnz) Fraction operations.
 
     A vertex of a small program has small denominators and rationalizes
     exactly.  From n of about 200 up, the true denominators of a vertex pass
@@ -163,7 +155,7 @@ def certify(lp: LinearProgram, sol: FractionalSolution) -> Certificate:
     certificate reports it infeasible.
     """
     y = [max(Fraction(0), Fraction(float(v)).limit_denominator(DUAL_DENOMINATOR))
-         for v in highs_duals(lp)]
+         for v in sol.duals]
     x = [Fraction(float(v)).limit_denominator(PRIMAL_DENOMINATOR) for v in sol.values]
     weights = [int(w) for w in lp.weights]
 

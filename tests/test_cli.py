@@ -189,6 +189,21 @@ class TestBench:
         assert code == 1 and "'algorithm'" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("source, key", [
+        ({"kind": "gnm", "label": "er", "n": 15, "m": 30, "weigths": [1, 20]}, "weigths"),
+        ({"kind": "planted-partition", "label": "plp", "l": 2, "community_size": 5,
+          "p_in": 0.5, "p_out": 0.1, "edges": "g.edges"}, "edges"),
+        ({"kind": "file", "label": "mine", "edges": "g.edges", "weights": [1, 20]}, "weights"),
+        ({"kind": "file", "label": "mine", "edges": "g.edges", "count": 2}, "count"),
+    ])
+    def test_unknown_source_key_exit_code(self, tmp_path, capsys, source, key):
+        # a misspelt or misplaced key would otherwise be ignored silently
+        (tmp_path / "cfg.json").write_text(json.dumps({"sources": [source]}))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and f"unknown key '{key}'" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_file_source_without_paths_exit_code(self, tmp_path, capsys):
         cfg = {"sources": [{"kind": "file", "label": "mine"}]}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))

@@ -1,4 +1,5 @@
 """Relaxation construction, the HiGHS solve and its exact certificate."""
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 import alphadom.lp as lp_module
-from alphadom import (DominationInstance, FractionalSolution, SimplexError,
-                      WeightedGraph, brute_force_opt, build_lp, certify, lp_text,
-                      solve_lp)
+from alphadom import (DominationInstance, SimplexError, WeightedGraph, brute_force_opt,
+                      build_lp, certify, lp_text, solve_lp)
 from alphadom.bench import derive_seed
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
 
@@ -99,6 +99,69 @@ class TestSolve:
                                                        rel=1e-9)
         assert np.allclose(scaled.values, base.values, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [60, 150])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2)])
+    def test_fields_match_linprog(self, n, alpha):
+        # linprog is a second, public front end to HiGHS, used here only
+        from scipy.optimize import linprog
+        from scipy.sparse import csr_array
+        g = assign_weights(gen_gnm(n, 10 * n, 11), WeightSpec(1, 71), 12)
+        lp, sol = solve_instance(g, alpha)
+        cover = csr_array((np.ones(len(lp.indices)), lp.indices, lp.indptr))
+        ref = linprog(lp.weights, A_ub=-cover, b_ub=-lp.bounds, bounds=(0, 1),
+                      method="highs")
+        assert ref.status == 0
+        assert np.allclose(sol.values, ref.x, rtol=0, atol=1e-9)
+        assert np.allclose(sol.duals, -ref.ineqlin.marginals, rtol=0, atol=1e-9)
+        assert sol.iterations > 0
+
+    def test_empty_program(self):
+        sol = solve_lp(build_lp(DominationInstance(WeightedGraph.from_edges(0, [], []),
+                                                   Fraction(1, 2))))
+        assert len(sol.values) == len(sol.duals) == 0
+        assert sol.iterations == 0
+
+
+def highs_core():
+    """The HiGHS binding bundled with scipy, which :func:`solve_lp` drives."""
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+def patch_highs(monkeypatch, **options):
+    """Swap the HiGHS object for the real one with ``options`` set; returns
+    the list that gets one entry per run."""
+    core = highs_core()
+    real_highs, runs = core._Highs, []
+
+    class Patched:
+        def __init__(self):
+            self._highs = real_highs()
+            for name, value in options.items():
+                self._highs.setOptionValue(name, value)
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def run(self):
+            runs.append(1)
+            return self._highs.run()
+
+    monkeypatch.setattr(core, "_Highs", Patched)
+    return runs
+
+
+@pytest.mark.parametrize("path", ["_Highs", "HighsLp", "MatrixFormat.kRowwise",
+                                  "HighsModelStatus.kOptimal", "HighsStatus.kError",
+                                  "kHighsInf"])
+def test_private_highs_api_is_present(path):
+    # solve_lp relies on these names of a private scipy module; a scipy
+    # release that moves one must fail here, by name, before any solve
+    obj = highs_core()
+    for part in path.split("."):
+        assert hasattr(obj, part), f"scipy.optimize._highspy._core lacks {path}"
+        obj = getattr(obj, part)
+
 
 class TestExactVerification:
     def test_hundred_random_small_lps(self):
@@ -112,17 +175,17 @@ class TestExactVerification:
             lp, sol = solve_instance(g, alpha)
             check = certify(lp, sol)
             assert check.feasible and check.certified
+            if np.any((sol.values > 0) & (sol.values < 1)):
+                assert sol.iterations > 0
             assert check.lower_bound <= check.objective
             rel = max(1.0, abs(float(check.objective)))
             assert abs(float(check.objective) - sol.objective_value) <= 1e-9 * rel
 
-    def test_scaled_dual_leaves_a_gap(self, monkeypatch):
+    def test_scaled_dual_leaves_a_gap(self):
         g = assign_weights(gen_gnm(12, 30, 5), WeightSpec(1, 71), 6)
         lp, sol = solve_instance(g, Fraction(1, 2))
         assert certify(lp, sol).certified
-        highs_duals = lp_module.highs_duals
-        monkeypatch.setattr(lp_module, "highs_duals", lambda p: 0.9 * highs_duals(p))
-        check = certify(lp, sol)
+        check = certify(lp, dataclasses.replace(sol, duals=0.9 * sol.duals))
         assert check.feasible
         assert check.gap > lp_module.GAP_TOL and not check.certified
 
@@ -131,19 +194,25 @@ class TestExactVerification:
         lp, sol = solve_instance(g, Fraction(1, 2))
         values = sol.values.copy()
         values[int(np.flatnonzero(values > 0)[0])] = 0.0
-        check = certify(lp, FractionalSolution(values, sol.objective_value, 0))
+        check = certify(lp, dataclasses.replace(sol, values=values))
         assert not check.feasible and not check.certified
 
+    def test_one_highs_run_per_solve_and_none_per_certificate(self, monkeypatch):
+        def no_solver():
+            raise AssertionError("certify started a HiGHS run")
+
+        g = assign_weights(gen_gnm(40, 200, 5), WeightSpec(1, 71), 6)
+        runs = patch_highs(monkeypatch)
+        lp, sol = solve_instance(g, Fraction(1, 2))
+        assert len(runs) == 1
+        monkeypatch.setattr(highs_core(), "_Highs", no_solver)
+        assert certify(lp, sol).certified
+
     def test_failed_solve_names_n_and_status(self, monkeypatch):
-        import scipy.optimize
-        from scipy.optimize import OptimizeResult
-
-        def no_optimum(*args, **kwargs):
-            return OptimizeResult(status=1, x=None, message="Iteration limit reached")
-
-        monkeypatch.setattr(scipy.optimize, "milp", no_optimum)
-        g = gen_gnm(6, 8, 1)
-        with pytest.raises(SimplexError, match=r"n=6: status 1: Iteration limit"):
+        patch_highs(monkeypatch, simplex_iteration_limit=1)
+        g = assign_weights(gen_gnm(40, 200, 1), WeightSpec(1, 71), 2)
+        with pytest.raises(SimplexError,
+                           match=r"n=40 after 1 simplex iterations: Iteration limit reached"):
             solve_lp(build_lp(DominationInstance(g, Fraction(1, 2))))
 
     @settings(max_examples=40, deadline=None)
