@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from alphadom import (DominatingSet, DominationInstance, WeightSpec, assign_weights, brute_force_opt, build_lp,
-                      certify, default_max_rounds, gen_gnm, is_feasible,
-                      randomized_rounding, repair, round_once,
-                      round_until_feasible, solve_lp)
+from alphadom import (DominatingSet, DominationInstance, Strategy, WeightSpec, assign_weights,
+                      brute_force_opt, build_lp, certify, default_max_rounds, gen_gnm,
+                      greedy_dominate, is_feasible, randomized_rounding, repair,
+                      round_once, round_until_feasible, solve_lp)
 
 g = assign_weights(gen_gnm(12, 30, seed=5), WeightSpec(1, 71), seed=6)
 inst = DominationInstance(g, Fraction(1, 2))
@@ -42,10 +42,11 @@ for trial in range(3):
     print(f"  pass {trial}: size={len(d)} weight={d.total_weight} "
           f"feasible={is_feasible(inst, d)}")
 
-print("\nrepair tops up whatever a bad set is missing:")
+print("\nrepair tops up whatever a bad set is missing, lightest first:")
 fixed = repair(inst, DominatingSet.empty())
 print(f"  repair(empty) -> size={len(fixed)} weight={fixed.total_weight} "
-      f"feasible={is_feasible(inst, fixed)}")
+      f"feasible={is_feasible(inst, fixed)}; it is greedy S1's scan: "
+      f"{fixed.members == greedy_dominate(inst, Strategy.S1).members}")
 
 rounds = default_max_rounds(g)
 print(f"\nthe pass loop: union up to {rounds} passes, stop at the first feasible union")

@@ -157,8 +157,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown config key {unknown[0]!r}; "
                              f"known: {', '.join(sorted(_CONFIG_KEYS))}")
         sources = []
-        for entry in payload.get("sources", []):
+        for position, entry in enumerate(payload.get("sources", [])):
             entry = dict(entry)
+            for key in ("label", "kind"):
+                if key not in entry:
+                    raise ValueError(f"sources[{position}] has no {key!r} key")
             keys = set(entry) - {"kind", "label"}
             weights = entry.pop("weights", None)
             source = GraphSource(

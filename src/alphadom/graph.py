@@ -2,9 +2,9 @@
 
 A graph is immutable once built; solvers construct and mutate
 :class:`DominatingSet` objects on the side.  Its topology is held once, as
-CSR arrays (``indptr``, ``indices``) from which the tuple rows that the
-solvers' Python loops iterate, the closed neighbourhoods (A + I) that
-coverage and the LP read, and induced subgraphs are all derived.  The
+CSR arrays (``indptr``, ``indices``) from which the closed neighbourhoods
+(A + I) that coverage and the LP read, induced subgraphs and, on first use,
+the Python lists and tuple rows that Python loops read are all derived.  The
 coverage threshold of a vertex ``v`` is ``ceil(alpha * (deg(v) + 1))`` and
 is computed with exact rational arithmetic, so a threshold never moves
 because of a float rounding artifact.
@@ -77,13 +77,13 @@ class WeightedGraph:
     bijectively to indices and are used only at the file-format boundary.
     The neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``, sorted
     ascending, and ``adjacency[v]`` is the same row as a tuple of Python
-    ints; together with index-ordered scans in the solvers this pins down
-    every deterministic tie-break.  Weights stay Python ints, so they may
-    exceed the int64 range.
+    ints (all rows are built on first access); together with index-ordered
+    scans in the solvers this pins down every deterministic tie-break.
+    Weights stay Python ints, so they may exceed the int64 range.
     """
 
-    __slots__ = ("n", "indptr", "indices", "adjacency", "weights", "labels",
-                 "_label_index", "_weight_array", "_closed", "_partition")
+    __slots__ = ("n", "indptr", "indices", "weights", "labels", "_adjacency",
+                 "_lists", "_label_index", "_weight_array", "_closed", "_partition")
 
     def __init__(self, adjacency: Sequence[Sequence[int]],
                  weights: Sequence[int],
@@ -138,17 +138,13 @@ class WeightedGraph:
                 raise ValueError("label count does not match vertex count")
             if len(set(labels)) != n:
                 raise ValueError("vertex labels must be unique")
-        # one int object per vertex, shared by every row that lists it: the
-        # solvers' loops over the rows then read n ints, not one per entry
-        flat = np.arange(n).astype(object)[indices].tolist()
-        bounds = indptr.tolist()
         self.n = n
         self.indptr = _frozen(indptr)
         self.indices = _frozen(indices)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         self.weights: tuple[int, ...] = w
         self.labels: tuple[str, ...] | None = labels
+        self._adjacency: tuple[tuple[int, ...], ...] | None = None
+        self._lists: tuple[list[int], list[int]] | None = None
         self._label_index: dict[str, int] | None = None
         self._weight_array: np.ndarray | None = None
         self._closed: tuple[np.ndarray, np.ndarray] | None = None
@@ -189,11 +185,30 @@ class WeightedGraph:
 
     # -- basic accessors ----------------------------------------------------
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every row as a tuple of Python ints.  Built once, on first access."""
+        if self._adjacency is None:
+            # one int object per vertex, shared by every row that lists it: a
+            # loop over the rows then reads n ints, not one per entry
+            flat = np.arange(self.n).astype(object)[self.indices].tolist()
+            bounds = self.indptr.tolist()
+            self._adjacency = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._adjacency
+
+    def csr_lists(self) -> tuple[list[int], list[int]]:
+        """(indptr, indices) as lists of Python ints, for Python loops that
+        slice rows out of them.  Built once; callers must not modify them."""
+        if self._lists is None:
+            self._lists = (self.indptr.tolist(), self.indices.tolist())
+        return self._lists
+
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        bounds, flat = self.csr_lists()
+        return tuple(flat[bounds[v]:bounds[v + 1]])
 
     @property
     def edge_count(self) -> int:
@@ -281,7 +296,8 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return (self.n == other.n and self.adjacency == other.adjacency
+        return (self.n == other.n and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
                 and self.weights == other.weights and self.labels == other.labels)
 
     __hash__ = None  # value equality above; graphs are not dict keys
@@ -391,7 +407,7 @@ def coverage_count(g: WeightedGraph, candidate, v: int) -> int:
     """|N[v] ∩ D| where N[v] is the closed neighborhood."""
     members = _member_set(candidate)
     c = 1 if v in members else 0
-    for u in g.adjacency[v]:
+    for u in g.neighbors(v):
         if u in members:
             c += 1
     return c
@@ -428,6 +444,7 @@ def is_feasible(inst: DominationInstance, candidate) -> bool:
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
+    bounds, flat = g.csr_lists()
     seen = bytearray(g.n)
     comps = []
     for s in range(g.n):
@@ -439,7 +456,7 @@ def connected_components(g: WeightedGraph) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in g.adjacency[v]:
+            for u in flat[bounds[v]:bounds[v + 1]]:
                 if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
@@ -463,14 +480,14 @@ class GraphStats:
 
 
 def graph_stats(g: WeightedGraph) -> GraphStats:
-    degrees = [g.degree(v) for v in range(g.n)] or [0]
+    degrees = np.diff(g.indptr) if g.n else np.zeros(1, dtype=np.int64)
     weights = list(g.weights) or [0]
     return GraphStats(
         vertices=g.n,
         edges=g.edge_count,
         components=len(connected_components(g)),
-        min_degree=min(degrees),
-        max_degree=max(degrees),
+        min_degree=int(degrees.min()),
+        max_degree=int(degrees.max()),
         avg_degree=2 * g.edge_count / g.n if g.n else 0.0,
         min_weight=min(weights),
         max_weight=max(weights),

@@ -4,7 +4,9 @@ Three vertex-ordering strategies are supported.  Each ranks a vertex by a
 ratio of integers; two vertices tie only when their ratios are
 mathematically equal, and ties always fall back to the vertex index.
 :func:`sort_key` is the exact definition of that order and :func:`rank_order`
-computes it for all vertices at once.
+computes it for all vertices at once.  One scan, :func:`_fill`, then tops a
+set up to feasibility in that order: from the empty set for the greedy
+strategies, and from a rounded set for :func:`alphadom.rounding.repair`.
 """
 from __future__ import annotations
 
@@ -43,19 +45,50 @@ def sort_key(strategy: Strategy, g: WeightedGraph, v: int) -> SortKey:
     elif strategy is Strategy.S2:
         value = Fraction(w, g.degree(v) + 1)
     else:
-        nbhd = w + sum(g.weights[u] for u in g.adjacency[v])
+        nbhd = w + sum(g.weights[u] for u in g.neighbors(v))
         value = Fraction(w, nbhd)  # nbhd >= w >= 1, never zero
     return (value, v)
 
 
+_FLOAT_EXACT = 2**53  # every int below this is a float, and int / int is correctly rounded
+_INT64_LIMIT = 2**63
+
+
+def _int64_ratios(strategy: Strategy, g: WeightedGraph) -> tuple[np.ndarray, np.ndarray] | None:
+    """(numerators, denominators) of every vertex's ranking value as int64
+    arrays, when numpy computes them exactly: every weight and denominator
+    below 2**53, every product of a weight and a denominator below 2**63.
+    None otherwise."""
+    if max(g.weights) >= _FLOAT_EXACT:
+        return None
+    w = g.weight_array()
+    top = int(w.max())
+    if strategy is Strategy.S1:
+        dens = np.ones(g.n, dtype=np.int64)
+    elif strategy is Strategy.S2:
+        dens = np.diff(g.indptr) + 1
+    else:
+        if top * (g.max_degree() + 1) >= _INT64_LIMIT:  # the sums themselves could wrap
+            return None
+        indptr, indices = g.closed_csr()
+        dens = np.add.reduceat(w[indices], indptr[:-1])
+    den_top = int(dens.max())
+    if den_top >= _FLOAT_EXACT or top * den_top >= _INT64_LIMIT:
+        return None
+    return w, dens
+
+
 def _denominators(strategy: Strategy, g: WeightedGraph) -> list[int]:
-    """Denominator of every vertex's ranking value; the numerator is its weight."""
+    """Denominator of every vertex's ranking value as Python ints; the
+    numerator is its weight."""
     w = g.weights
     if strategy is Strategy.S1:
         return [1] * g.n
     if strategy is Strategy.S2:
-        return [len(row) + 1 for row in g.adjacency]
-    return [wv + sum(map(w.__getitem__, row)) for wv, row in zip(w, g.adjacency)]
+        return (np.diff(g.indptr) + 1).tolist()
+    bounds, flat = g.csr_lists()
+    return [wv + sum(map(w.__getitem__, flat[a:b]))
+            for wv, a, b in zip(w, bounds, bounds[1:])]
 
 
 def _approx(num: int, den: int) -> float:
@@ -74,24 +107,73 @@ def rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
     already in exact order; only a run of equal floats can hold distinct
     ratios (close values, or weights past 2**53).  Adjacent pairs in such
     runs are compared exactly by cross-multiplying, and a run that holds
-    two distinct ratios is re-sorted by :func:`sort_key`.
+    two distinct ratios is re-sorted by :func:`sort_key`.  When every ratio
+    fits (see :func:`_int64_ratios`) all of this is numpy arithmetic;
+    otherwise the ratios are Python ints.
     """
-    nums, dens = g.weights, _denominators(strategy, g)
-    approx = np.fromiter(map(_approx, nums, dens), dtype=np.float64, count=g.n)
-    by_float = np.argsort(approx, kind="stable")
-    ranked = approx[by_float]
-    order = by_float.tolist()
-    mixed = [i for i in np.flatnonzero(ranked[1:] == ranked[:-1]).tolist()
-             if nums[order[i]] * dens[order[i + 1]] != nums[order[i + 1]] * dens[order[i]]]
+    if g.n == 0:
+        return []
+    exact = _int64_ratios(strategy, g)
+    if exact is not None:
+        nums, dens = exact
+        approx = nums / dens
+    else:
+        nums, dens = g.weights, _denominators(strategy, g)
+        approx = np.fromiter(map(_approx, nums, dens), dtype=np.float64, count=g.n)
+    order = np.argsort(approx, kind="stable")
+    ranked = approx[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    a, b = order[tied], order[tied + 1]
+    if exact is not None:
+        mixed = tied[nums[a] * dens[b] != nums[b] * dens[a]].tolist()
+    else:
+        mixed = [i for i, u, v in zip(tied.tolist(), a.tolist(), b.tolist())
+                 if nums[u] * dens[v] != nums[v] * dens[u]]
     if mixed:
+        order = order.tolist()
         runs = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), g.n]
         for r in {bisect_right(runs, i) - 1 for i in mixed}:
             lo, hi = runs[r], runs[r + 1]
             order[lo:hi] = sorted(order[lo:hi], key=lambda v: sort_key(strategy, g, v))
-    rank = [0] * g.n
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    return rank
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    return rank.tolist()
+
+
+def _fill(inst: DominationInstance, rank: list[int], start: DominatingSet,
+          cover: list[int]) -> DominatingSet:
+    """``start`` topped up to a feasible set by one ascending scan.
+
+    ``cover`` is the closed-neighbourhood coverage of ``start``, updated in
+    place.  For each vertex v still short of its demand, the missing count
+    is filled with the non-members of N[v] that come first in ``rank``.
+    Coverage only ever grows, so one scan settles every vertex.  ``start``
+    is not modified.
+    """
+    g = inst.graph
+    bounds, flat = g.csr_lists()
+    in_set = bytearray(g.n)
+    for v in start.members:
+        in_set[v] = 1
+    added: list[int] = []
+
+    for v, demand in enumerate(inst.demands):
+        need = demand - cover[v]
+        if need <= 0:
+            continue
+        candidates = [u for u in flat[bounds[v]:bounds[v + 1]] if not in_set[u]]
+        if not in_set[v]:
+            candidates.append(v)
+        candidates.sort(key=rank.__getitem__)
+        for u in candidates[:need]:
+            in_set[u] = 1
+            added.append(u)
+            cover[u] += 1
+            for t in flat[bounds[u]:bounds[u + 1]]:
+                cover[t] += 1
+
+    weight = start.total_weight + sum(map(g.weights.__getitem__, added))
+    return DominatingSet(start.members | set(added), weight)
 
 
 def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingSet:
@@ -99,30 +181,9 @@ def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingS
 
     For each vertex v whose closed neighborhood holds fewer members than its
     demand, the missing count is filled with the best-ranked non-members of
-    N[v].  Coverage only ever grows, so one ascending scan settles every
+    N[v], in the order of :func:`rank_order`.  Coverage only ever grows, so
+    one ascending scan (:func:`_fill`, from the empty set) settles every
     vertex; the result is always feasible.
     """
     g = inst.graph
-    n = g.n
-    rank = rank_order(strategy, g)
-
-    in_set = bytearray(n)
-    cover = [0] * n
-    members: list[int] = []
-
-    for v in range(n):
-        need = inst.demands[v] - cover[v]
-        if need <= 0:
-            continue
-        candidates = [u for u in g.adjacency[v] if not in_set[u]]
-        if not in_set[v]:
-            candidates.append(v)
-        candidates.sort(key=rank.__getitem__)
-        for u in candidates[:need]:
-            in_set[u] = 1
-            members.append(u)
-            cover[u] += 1
-            for t in g.adjacency[u]:
-                cover[t] += 1
-
-    return DominatingSet.from_members(g, members)
+    return _fill(inst, rank_order(strategy, g), DominatingSet.empty(), [0] * g.n)

@@ -2,11 +2,12 @@
 
 The relaxation is solved once; its optimum is rounded independently per
 vertex in up to ceil(log2(max degree)) passes, unioning the passes until the
-accumulated set is feasible.  A deterministic repair sweep then fills any
-remaining per-vertex shortfall, so the returned set is feasible for every
-seed.  Every draw comes from [0, THRESHOLD_UPPER) rather than [0, 1), which
-inflates each inclusion probability to min(1, x / THRESHOLD_UPPER): any
-fractional value of at least one half is a certain pick.  The same pass loop,
+accumulated set is feasible.  A deterministic repair sweep (the scan of
+greedy S1, started from the rounded set) then fills any remaining per-vertex
+shortfall, so the returned set is feasible for every seed.  Every draw
+comes from [0, THRESHOLD_UPPER) rather than [0, 1), which inflates each
+inclusion probability to min(1, x / THRESHOLD_UPPER): any fractional value
+of at least one half is a certain pick.  The same pass loop,
 :func:`round_until_feasible`, serves the per-community rounding of
 :mod:`alphadom.community`.
 """
@@ -16,6 +17,7 @@ import numpy as np
 
 from .graph import (DominatingSet, DominationInstance, WeightedGraph,
                     coverage_counts, is_feasible)
+from .greedy import Strategy, _fill, rank_order
 from .lp import FractionalSolution, build_lp, solve_lp
 
 
@@ -52,26 +54,15 @@ def round_until_feasible(inst: DominationInstance, values: np.ndarray,
 def repair(inst: DominationInstance, candidate: DominatingSet) -> DominatingSet:
     """Deterministically top up every uncovered vertex.
 
-    Scans vertices in ascending index order, recomputing coverage as members
-    are added; each shortfall of l is filled with the l lowest-weight
-    non-members of the closed neighborhood (ties to the lower index).  The
-    input set is not modified.
+    This is the scan of greedy S1 started from ``candidate`` and its
+    coverage: vertices are visited in ascending index order, and each
+    shortfall of l is filled with the l lowest-weight non-members of the
+    closed neighborhood (ties to the lower index).  The input set is not
+    modified.
     """
     g = inst.graph
-    out = candidate.copy()
-    cover = coverage_counts(g, out)
-    for v in range(g.n):
-        short = inst.demands[v] - int(cover[v])
-        if short <= 0:
-            continue
-        pool = [u for u in g.adjacency[v] if u not in out]
-        if v not in out:
-            pool.append(v)
-        pool.sort(key=lambda u: (g.weights[u], u))
-        for u in pool[:short]:
-            out.add(g, u)
-            cover[g.closed_neighborhood(u)] += 1
-    return out
+    cover = coverage_counts(g, candidate).tolist()
+    return _fill(inst, rank_order(Strategy.S1, g), candidate, cover)
 
 
 def randomized_rounding(inst: DominationInstance, seed: int,

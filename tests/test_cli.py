@@ -204,6 +204,19 @@ class TestBench:
         assert code == 1 and f"unknown key '{key}'" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("source, missing", [
+        ({"kind": "gnm", "n": 5, "m": 4}, "'label'"),
+        ({"label": "er", "n": 5, "m": 4}, "'kind'"),
+    ])
+    def test_source_without_label_or_kind_exit_code(self, tmp_path, capsys, source, missing):
+        cfg = {"sources": [{"kind": "gnm", "label": "ok", "n": 5, "m": 4}, source]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert "sources[1]" in err and missing in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_file_source_without_paths_exit_code(self, tmp_path, capsys):
         cfg = {"sources": [{"kind": "file", "label": "mine"}]}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))

@@ -96,6 +96,20 @@ class TestConstruction:
         h = WeightedGraph(g.adjacency, g.weights)
         assert g == h
 
+    def test_equality_compares_the_arrays(self):
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        cycle = WeightedGraph.from_edges(4, edges, [1, 2, 3, 4])
+        same = WeightedGraph.from_edges(4, [(v, u) for u, v in reversed(edges)], [1, 2, 3, 4])
+        # also a 4-cycle, so every degree is the same
+        other = WeightedGraph.from_edges(4, [(0, 2), (1, 2), (1, 3), (0, 3)], [1, 2, 3, 4])
+        labelled = WeightedGraph.from_edges(4, edges, [1, 2, 3, 4], labels="abcd")
+        assert cycle == same
+        assert cycle != other
+        assert cycle != cycle.with_weights([1, 2, 3, 5])
+        assert cycle != labelled
+        assert cycle != WeightedGraph.from_edges(5, edges, [1, 2, 3, 4, 5])
+        assert all(g._adjacency is None for g in (cycle, same, other, labelled))
+
 
 class TestAlpha:
     def test_string_fraction(self):
@@ -249,6 +263,17 @@ def test_connected_components_and_stats():
     st = graph_stats(g)
     assert (st.vertices, st.edges, st.components) == (5, 2, 3)
     assert st.min_degree == 0 and st.max_degree == 1
+    assert graph_stats(WeightedGraph.from_edges(0, [], [])).max_degree == 0
+
+
+def test_graph_methods_leave_the_rows_unbuilt():
+    g = gen_powerlaw_cluster(200, 2, 0.3, 3)
+    stats = graph_stats(g)
+    degrees = [g.degree(v) for v in range(g.n)]
+    assert (stats.min_degree, stats.max_degree) == (min(degrees), max(degrees))
+    assert g == g.with_weights(g.weights)
+    assert g._adjacency is None
+    assert degrees == [len(row) for row in g.adjacency]
 
 
 def test_subgraph_keeps_weights_and_maps_back():
@@ -280,10 +305,24 @@ def check_representation(g: WeightedGraph, rng: np.random.Generator) -> None:
     """The CSR arrays, the tuple rows, A + I, from_edges, subgraph, coverage
     and demands against plain-Python references."""
     rows = [list(r) for r in g.adjacency]
+    assert g.csr_lists() == (g.indptr.tolist(), g.indices.tolist())
     for v in range(g.n):
         assert tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) == g.adjacency[v]
+        assert g.neighbors(v) == g.adjacency[v] and g.degree(v) == len(rows[v])
         assert g.closed_neighborhood(v).tolist() == sorted(g.adjacency[v] + (v,))
     assert list(g.edges()) == [(u, v) for u in range(g.n) for v in rows[u] if u < v]
+    seen, comps = set(), []  # components by search over the tuple rows
+    for s in range(g.n):
+        if s not in seen:
+            comp, stack = {s}, [s]
+            while stack:
+                for u in rows[stack.pop()]:
+                    if u not in comp:
+                        comp.add(u)
+                        stack.append(u)
+            seen |= comp
+            comps.append(sorted(comp))
+    assert connected_components(g) == comps
 
     # from_edges: every edge twice, some reversed, in a shuffled order
     pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()] * 2

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from alphadom import (DominatingSet, DominationInstance, Strategy, WeightedGraph,
                       WeightSpec, assign_weights, brute_force_opt, gen_gnm,
                       gen_planted_partition, gen_powerlaw_cluster, greedy_dominate,
-                      is_feasible, sort_key)
-from alphadom.greedy import rank_order
+                      ingest_graph, is_feasible, sort_key, write_edge_list,
+                      write_weight_table)
+from alphadom.greedy import _int64_ratios, rank_order
 
 from .strategies import instances, weighted_graphs
 
@@ -61,6 +62,9 @@ def hard_weighted_graphs(draw):
     return g.with_weights(draw(st.lists(weight, min_size=g.n, max_size=g.n)))
 
 
+W = 2**31 - 1
+
+
 def sort_key_ranks(strategy, g):
     order = sorted(range(g.n), key=lambda v: sort_key(strategy, g, v))
     rank = [0] * g.n
@@ -75,9 +79,30 @@ def sort_key_ranks(strategy, g):
 @example(WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                                   [2**53 + 1, 2**53, 2**53 + 1, 2**53]))
 @example(WeightedGraph.from_edges(3, [], [2**64 + 2, 2**64 + 1, 3]))
+# weights just below and at the float-exact bound of the numpy path
+@example(WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                                  [2**53 - 1, 2**53 - 2, 2**53 - 1, 1]))
+@example(WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                                  [2**53, 2**53 - 1, 2**53 + 1, 2**53]))
+# S3 ratios W/(2W+1) and (W-1)/(2W-1) share a float; the largest weight times
+# the largest denominator sits just below 2**63 at W = 2**31 - 1, above at 2**31
+# (for S3 this product bound binds long before the 2**53 denominator bound)
+@example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W, W + 1, W - 1, W]))
+@example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W + 1, W + 2, W, W + 1]))
 def test_rank_order_matches_sort_key(g):
     for s in Strategy:
         assert rank_order(s, g) == sort_key_ranks(s, g)
+
+
+def test_numpy_ranks_only_inside_the_bounds():
+    def fits(weights, edges=((0, 1), (2, 3))):
+        g = WeightedGraph.from_edges(4, list(edges), weights)
+        return [_int64_ratios(s, g) is not None for s in Strategy]
+
+    assert fits([W, W + 1, W - 1, W]) == [True, True, True]
+    assert fits([W + 1, W + 2, W, W + 1]) == [True, True, False]
+    assert fits([2**53 - 1, 1, 1, 1]) == [True, True, False]
+    assert fits([2**53, 1, 1, 1]) == [False, False, False]
 
 
 class TestGreedyDominate:
@@ -170,6 +195,17 @@ def test_greedy_matches_sort_key_reference(family):
             got = greedy_dominate(inst, s)
             assert got.members == expected.members
             assert got.total_weight == expected.total_weight
+
+
+def test_load_and_greedy_leave_the_rows_unbuilt(tmp_path):
+    g = assign_weights(gen_powerlaw_cluster(300, 2, 0.1, 5), WeightSpec(1, 71), 6)
+    write_edge_list(g, tmp_path / "g.edges")
+    write_weight_table(g, tmp_path / "g.weights")
+    loaded = ingest_graph(tmp_path / "g.edges", tmp_path / "g.weights")
+    inst = DominationInstance(loaded, Fraction(1, 2))
+    for s in Strategy:
+        assert is_feasible(inst, greedy_dominate(inst, s))
+    assert loaded._adjacency is None
 
 
 def test_runtime_sanity_bound():

@@ -3,13 +3,16 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from alphadom import (DominatingSet, DominationInstance, WeightedGraph,
-                      build_lp, community_rounding, default_max_rounds,
-                      is_feasible, poisson_binomial_tail, randomized_rounding,
-                      repair, round_once, solve_lp)
-from alphadom.generators import WeightSpec, assign_weights, gen_gnm
+                      build_lp, community, community_rounding, coverage_counts,
+                      default_max_rounds, is_feasible, poisson_binomial_tail,
+                      randomized_rounding, repair, round_once, solve_lp)
+from alphadom.generators import (WeightSpec, assign_weights, gen_gnm,
+                                 gen_planted_partition, gen_powerlaw_cluster)
+from alphadom.rounding import round_until_feasible
 
 from .strategies import instances
 
@@ -79,6 +82,56 @@ class TestRepair:
             out = repair(inst, DominatingSet.from_members(g, start))
             assert is_feasible(inst, out)
             assert start <= out.members  # never removes anything
+
+
+def repair_reference(inst, candidate):
+    """The repair sweep as its own loop, before it became greedy S1's scan."""
+    g = inst.graph
+    out = candidate.copy()
+    cover = coverage_counts(g, out)
+    for v in range(g.n):
+        short = inst.demands[v] - int(cover[v])
+        if short <= 0:
+            continue
+        pool = [u for u in g.adjacency[v] if u not in out]
+        if v not in out:
+            pool.append(v)
+        pool.sort(key=lambda u: (g.weights[u], u))
+        for u in pool[:short]:
+            out.add(g, u)
+            cover[g.closed_neighborhood(u)] += 1
+    return out
+
+
+@pytest.mark.parametrize("family", ["er", "planted", "powerlaw"])
+def test_repair_matches_reference(family, monkeypatch):
+    graph = {
+        "er": lambda: gen_gnm(300, 3000, 21),
+        "planted": lambda: gen_planted_partition(5, 60, 0.3, 0.01, 22),
+        "powerlaw": lambda: gen_powerlaw_cluster(400, 3, 0.2, 23),
+    }[family]()
+    g = assign_weights(graph, WeightSpec(1, 71), 24)
+    topped_up = 0
+    for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        inst = DominationInstance(g, alpha)
+        values = solve_lp(build_lp(inst)).values
+        # the empty set, every seventh vertex, rr's rounded sets after one pass
+        # and after its full budget, and the union of rrwc's community picks
+        starts = [DominatingSet.empty(), DominatingSet.from_members(g, range(0, g.n, 7))]
+        for seed in range(2):
+            for rounds in (1, default_max_rounds(g)):
+                starts.append(round_until_feasible(inst, values, np.random.default_rng(seed),
+                                                   rounds))
+        with monkeypatch.context() as m:
+            m.setattr(community, "repair", lambda _, picked: starts.append(picked) or picked)
+            community_rounding(inst, 0)
+        for start in starts:
+            expected = repair_reference(inst, start)
+            got = repair(inst, start)
+            assert got.members == expected.members
+            assert got.total_weight == expected.total_weight
+            topped_up += 0 < len(start) < len(got)
+    assert topped_up >= 6  # repair had work to do on starts other than the empty one
 
 
 class TestRandomizedRounding:
