@@ -2,10 +2,10 @@
 
 Solving one relaxation per community gets cheaper than one global program as
 the graph grows (acceptance criterion 6 measures it at n = 1000; at the 400
-vertices here the two cost about the same), and on graphs with genuine modular
-structure the stitched solution is also lighter on average: each community
-stops rounding as soon as it is locally covered, instead of the whole graph
-paying for the slowest corner.
+vertices here the split one is about twice as fast), and on graphs with
+genuine modular structure the stitched solution is also lighter on average:
+each community stops rounding as soon as it is locally covered, instead of
+the whole graph paying for the slowest corner.
 
 Both solvers take the instance and a seed, and both run the same rounding
 pass loop; the split one runs it once per community, with a generator seeded

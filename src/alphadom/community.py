@@ -4,10 +4,14 @@ The partitioned solver cuts the graph into communities, solves the covering
 relaxation and rounds it inside each community independently (demands are
 recomputed on the induced subgraph so every local program is feasible in
 isolation), unions the per-community picks, and finishes with the global
-repair sweep so cross-community demands are honored.
+repair sweep so cross-community demands are honored.  The community LPs run
+on up to min(available CPUs, number of LPs) threads, since HiGHS releases
+the GIL while it solves; the result does not depend on the thread count.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +70,15 @@ def _modularity(g: WeightedGraph, community_of: np.ndarray) -> float:
     return float(np.sum(twice_intra / 2 / m - (deg / (2 * m)) ** 2))
 
 
+def _check_covers(g: WeightedGraph, p: Partition) -> None:
+    if len(p.community_of) != g.n:
+        raise ValueError(f"partition assigns {len(p.community_of)} vertices, "
+                         f"the graph has {g.n}")
+
+
 def modularity(g: WeightedGraph, p: Partition) -> float:
     """Newman modularity with unit edge weights; defined as 0 on an edgeless graph."""
-    if len(p.community_of) != g.n:
-        raise ValueError("partition does not cover the graph")
+    _check_covers(g, p)
     return _modularity(g, np.asarray(p.community_of, dtype=np.int64))
 
 
@@ -77,33 +86,34 @@ def _local_moves(rows, weights, strength: list[int], two_m: int) -> tuple[list[i
     """One complete local-move phase over one level; returns (community of
     each level vertex, whether anything moved).
 
-    ``rows[v]`` lists the neighbours of v other than itself, with integer
-    weights ``weights[v]``, or unit weights when ``weights`` is None.
+    ``rows[v]`` lists the neighbours of v other than itself, each once, with
+    integer weights ``weights[v]``, or unit weights when ``weights`` is None.
     Vertices are scanned in ascending index order and moved to the
     neighbouring community with the greatest strictly positive modularity
     gain; equal gains resolve to the lowest community id.  Sweeps repeat
     until a full sweep moves nothing.  A gain is compared as the integer
     ``links * 2m - sigma * k_v``, 2m times the usual
     ``links - sigma * k_v / 2m``, so no comparison rounds.
+
+    Every vertex keeps its link weight to each neighbouring community in a
+    dict, and a move updates only the mover's neighbours' dicts.  A count
+    that drops to zero is deleted, so the keys are exactly the communities
+    a full recount would find; the choice does not depend on their order.
     """
     n = len(rows)
     comm = list(range(n))
     sigma = list(strength)  # total strength per community
+    if weights is None:
+        links_of = [dict.fromkeys(row, 1) for row in rows]
+    else:
+        links_of = [dict(zip(row, ws)) for row, ws in zip(rows, weights)]
     moved_any = False
     while True:
         moved = False
         for v in range(n):
             cv = comm[v]
             kv = strength[v]
-            links: dict[int, int] = {}
-            if weights is None:
-                for u in rows[v]:
-                    c = comm[u]
-                    links[c] = links.get(c, 0) + 1
-            else:
-                for u, w in zip(rows[v], weights[v]):
-                    c = comm[u]
-                    links[c] = links.get(c, 0) + w
+            links = links_of[v]
             sigma[cv] -= kv
             base = links.get(cv, 0) * two_m - sigma[cv] * kv
             best_c, best_gain = cv, base
@@ -117,6 +127,24 @@ def _local_moves(rows, weights, strength: list[int], two_m: int) -> tuple[list[i
             if best_c != cv:
                 comm[v] = best_c
                 moved = moved_any = True
+                if weights is None:  # level 0: a loop without weights is faster
+                    for u in rows[v]:
+                        counts = links_of[u]
+                        left = counts[cv] - 1
+                        if left:
+                            counts[cv] = left
+                        else:
+                            del counts[cv]
+                        counts[best_c] = counts.get(best_c, 0) + 1
+                else:
+                    for u, w in zip(rows[v], weights[v]):
+                        counts = links_of[u]
+                        left = counts[cv] - w
+                        if left:
+                            counts[cv] = left
+                        else:
+                            del counts[cv]
+                        counts[best_c] = counts.get(best_c, 0) + w
         if not moved:
             return comm, moved_any
 
@@ -187,6 +215,16 @@ def _louvain(g: WeightedGraph) -> Partition:
     return Partition.from_assignment(membership.tolist())
 
 
+def _pool_size(lps: int) -> int:
+    """Threads for ``lps`` community LPs: one per CPU this process may run
+    on, no more than there are LPs, and never none."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, lps))
+
+
 def community_rounding(inst: DominationInstance, seed: int,
                        partition: Partition | None = None) -> DominatingSet:
     """Divide-and-conquer randomized rounding over detected communities.
@@ -197,21 +235,29 @@ def community_rounding(inst: DominationInstance, seed: int,
     with ``default_rng([seed, community id])`` and the pass budget of the
     whole graph.  The union of the local picks goes through the global repair
     sweep, so the result is feasible on the full graph for every seed.
+
+    Each community LP is handed to a thread pool as soon as it is built, and
+    the rounding then takes the solutions in community-id order, so the set
+    is the one a sequential loop would give.
     """
     g = inst.graph
     part = partition if partition is not None else louvain(g)
+    _check_covers(g, part)
     rounds = default_max_rounds(g)  # max degree of the whole graph, not the community
-    picked: set[int] = set()
+    communities = part.communities()
+    # the induced demand of a singleton is 1: itself
+    picked = {verts[0] for verts in communities if len(verts) == 1}
+    blocks = [(cid, verts) for cid, verts in enumerate(communities) if len(verts) > 1]
 
-    for cid, verts in enumerate(part.communities()):
-        if len(verts) == 1:
-            picked.add(verts[0])  # induced demand of a singleton is 1: itself
-            continue
-        sub, to_global = g.subgraph(verts)
-        sub_inst = DominationInstance(sub, inst.alpha)
-        frac = solve_lp(build_lp(sub_inst))
-        local = round_until_feasible(sub_inst, frac.values,
-                                     np.random.default_rng([seed, cid]), rounds)
-        picked.update(int(to_global[v]) for v in local.members)
+    with ThreadPoolExecutor(max_workers=_pool_size(len(blocks))) as pool:
+        solving = []
+        for cid, verts in blocks:
+            sub, to_global = g.subgraph(verts)
+            sub_inst = DominationInstance(sub, inst.alpha)
+            solving.append((cid, sub_inst, to_global, pool.submit(solve_lp, build_lp(sub_inst))))
+        for cid, sub_inst, to_global, frac in solving:
+            local = round_until_feasible(sub_inst, frac.result().values,
+                                         np.random.default_rng([seed, cid]), rounds)
+            picked.update(int(to_global[v]) for v in local.members)
 
     return repair(inst, DominatingSet.from_members(g, picked))

@@ -83,7 +83,8 @@ class WeightedGraph:
     """
 
     __slots__ = ("n", "indptr", "indices", "weights", "labels", "_adjacency",
-                 "_lists", "_label_index", "_weight_array", "_closed", "_partition")
+                 "_lists", "_label_index", "_weight_array", "_closed", "_partition",
+                 "_ranks")
 
     def __init__(self, adjacency: Sequence[Sequence[int]],
                  weights: Sequence[int],
@@ -149,6 +150,7 @@ class WeightedGraph:
         self._weight_array: np.ndarray | None = None
         self._closed: tuple[np.ndarray, np.ndarray] | None = None
         self._partition = None  # set by community.louvain on its first call
+        self._ranks: dict = {}  # strategy -> greedy.rank_order, filled on first use
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,

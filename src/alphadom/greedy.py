@@ -102,6 +102,19 @@ def _approx(num: int, den: int) -> float:
 def rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
     """Position of every vertex in the order of :func:`sort_key`.
 
+    Computed once per graph and strategy and kept on the graph, so every
+    greedy call and every repair on one graph share it; callers must not
+    modify the list.
+    """
+    ranks = g._ranks.get(strategy)
+    if ranks is None:
+        ranks = g._ranks[strategy] = _rank_order(strategy, g)
+    return ranks
+
+
+def _rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
+    """The ranks of :func:`rank_order`, computed.
+
     Ratios are first sorted by their correctly rounded floats, with the
     vertex index breaking ties.  Rounding is monotone, so unequal floats are
     already in exact order; only a run of equal floats can hold distinct

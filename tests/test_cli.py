@@ -22,6 +22,25 @@ def small_graph_files(tmp_path):
     return tmp_path
 
 
+def write_thread_test_graph(directory):
+    g = assign_weights(gen_gnm(300, 3000, 21), WeightSpec(1, 71), 22)
+    write_edge_list(g, directory / "g.edges")
+    write_weight_table(g, directory / "g.weights")
+
+
+def solve_in_child(directory, algo, out, preexec_fn=None, **env):
+    """``alphadom solve`` on the graph in ``directory`` in a child process,
+    with ``env`` added to its environment."""
+    path = [str(Path(__file__).resolve().parent.parent / "src")]
+    path += filter(None, [os.environ.get("PYTHONPATH")])
+    subprocess.run([sys.executable, "-m", "alphadom", "solve",
+                    "--edges", str(directory / "g.edges"),
+                    "--weights", str(directory / "g.weights"), "--alpha", "1/2",
+                    "--algo", algo, "--seed", "5", "--out", str(out)],
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env),
+                   preexec_fn=preexec_fn, check=True, capture_output=True, timeout=300)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -88,23 +107,27 @@ class TestSolveAndVerify:
 
     @pytest.mark.parametrize("algo", ["rr", "rrwc"])
     def test_sets_do_not_depend_on_thread_count(self, tmp_path, algo):
-        g = assign_weights(gen_gnm(300, 3000, 21), WeightSpec(1, 71), 22)
-        write_edge_list(g, tmp_path / "g.edges")
-        write_weight_table(g, tmp_path / "g.weights")
-        path = [str(Path(__file__).resolve().parent.parent / "src")]
-        path += filter(None, [os.environ.get("PYTHONPATH")])
+        write_thread_test_graph(tmp_path)
         sets = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(path))
             out = tmp_path / f"sol{threads}.txt"
-            subprocess.run([sys.executable, "-m", "alphadom", "solve",
-                            "--edges", str(tmp_path / "g.edges"),
-                            "--weights", str(tmp_path / "g.weights"), "--alpha", "1/2",
-                            "--algo", algo, "--seed", "5", "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=300)
+            solve_in_child(tmp_path, algo, out, OMP_NUM_THREADS=threads,
+                           OPENBLAS_NUM_THREADS=threads)
             sets.append(out.read_text(encoding="utf-8"))
         assert sets[0] == sets[1] and sets[0]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two CPUs")
+    def test_rrwc_set_does_not_depend_on_cpu_count(self, tmp_path):
+        # rrwc solves its community LPs on one thread per available CPU
+        write_thread_test_graph(tmp_path)
+        one_cpu = min(os.sched_getaffinity(0))
+        solve_in_child(tmp_path, "rrwc", tmp_path / "pinned.txt",
+                       preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}))
+        solve_in_child(tmp_path, "rrwc", tmp_path / "free.txt")
+        pinned = (tmp_path / "pinned.txt").read_text(encoding="utf-8")
+        assert pinned and pinned == (tmp_path / "free.txt").read_text(encoding="utf-8")
 
     def test_verify_full_vertex_set(self, small_graph_files, capsys):
         d = small_graph_files

@@ -10,6 +10,7 @@ from alphadom import (DominationInstance, Partition, WeightedGraph,
                       louvain, modularity, planted_block_assignment)
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
 
+from .louvain_reference import reference_louvain
 from .strategies import instances
 
 
@@ -68,7 +69,7 @@ class TestModularity:
         assert modularity(g, Partition((0, 1, 2), 3)) == 0.0
 
     def test_mismatched_partition_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="assigns 2 vertices, the graph has 6"):
             modularity(two_triangles(), Partition((0, 1), 2))
 
 
@@ -106,6 +107,13 @@ class TestLouvain:
         twin = gen_planted_partition(3, 25, 0.3, 0.02, 9)
         assert louvain(g) is not louvain(twin)
         assert louvain(g).community_of == louvain(twin).community_of
+
+    @pytest.mark.parametrize("n, m, seed", [(30, 40, 80), (60, 150, 26), (200, 400, 1)])
+    def test_sparse_graphs_match_reference(self, n, m, seed):
+        # on these graphs a community empties during a sweep, and a vertex
+        # must not then move into it through a link count left at zero
+        g = gen_gnm(n, m, seed)
+        assert louvain(g).community_of == reference_louvain(g)
 
     def test_every_vertex_assigned(self):
         g = assign_weights(gen_gnm(40, 100, 31), WeightSpec(1, 5), 32)
@@ -154,6 +162,13 @@ class TestCommunityRounding:
         a = community_rounding(inst, 99)
         b = community_rounding(inst, 99)
         assert a.members == b.members
+
+    @pytest.mark.parametrize("assignment", [(0, 0, 1), (0, 0, 0, 1, 1, 1, 1)])
+    def test_partition_of_another_size_rejected(self, assignment):
+        inst = DominationInstance(two_triangles(bridge=True), Fraction(1, 2))
+        with pytest.raises(ValueError, match=f"assigns {len(assignment)} vertices, "
+                                             "the graph has 6"):
+            community_rounding(inst, 0, partition=Partition.from_assignment(assignment))
 
     def test_explicit_partition_is_honored(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [2, 7, 2, 7])

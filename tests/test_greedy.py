@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from alphadom import (DominatingSet, DominationInstance, Strategy, WeightedGraph,
                       WeightSpec, assign_weights, brute_force_opt, gen_gnm,
                       gen_planted_partition, gen_powerlaw_cluster, greedy_dominate,
-                      ingest_graph, is_feasible, sort_key, write_edge_list,
-                      write_weight_table)
+                      ingest_graph, is_feasible, repair, sort_key,
+                      write_edge_list, write_weight_table)
+from alphadom import greedy
 from alphadom.greedy import _int64_ratios, rank_order
 
 from .strategies import instances, weighted_graphs
@@ -206,6 +207,23 @@ def test_load_and_greedy_leave_the_rows_unbuilt(tmp_path):
     for s in Strategy:
         assert is_feasible(inst, greedy_dominate(inst, s))
     assert loaded._adjacency is None
+
+
+def test_ranks_kept_per_graph_and_strategy(monkeypatch):
+    g = assign_weights(gen_gnm(60, 200, 7), WeightSpec(1, 9), 8)
+    inst = DominationInstance(g, Fraction(1, 2))
+    first = {s: rank_order(s, g) for s in Strategy}
+    with monkeypatch.context() as m:
+        m.setattr(greedy, "_rank_order", None)  # ranking anew would fail
+        for s in Strategy:
+            assert rank_order(s, g) is first[s]
+            greedy_dominate(inst, s)
+        repair(inst, DominatingSet.empty())
+    # a graph with other weights keeps its own ranks
+    reweighted = g.with_weights([10 - w for w in g.weights])
+    for s in Strategy:
+        assert rank_order(s, reweighted) == sort_key_ranks(s, reweighted)
+    assert rank_order(Strategy.S1, reweighted) != first[Strategy.S1]
 
 
 def test_runtime_sanity_bound():
