@@ -12,8 +12,7 @@ from .bench import (ALGORITHMS, ContractViolationError, ExperimentConfig,
                     GraphSource, ResultRow, derive_seed, run_experiment,
                     summarize, write_rows_csv, write_summary_json)
 from .community import Partition, community_rounding, louvain, modularity
-from .generators import (GnmSpec, PlantedPartitionSpec, PowerlawClusterSpec,
-                         WeightSpec, assign_weights, gen_gnm,
+from .generators import (FAMILIES, WeightSpec, assign_weights, gen_gnm,
                          gen_planted_partition, gen_powerlaw_cluster,
                          planted_block_assignment)
 from .graph import (DeficiencyReport, DominatingSet, DominationInstance,

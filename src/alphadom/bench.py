@@ -5,6 +5,11 @@ graph id, alpha, algorithm, repetition), so adding an algorithm or source to
 a config never perturbs the other cells.  Each solver output is re-checked by
 the independent feasibility verifier before its row is recorded; an
 infeasible output aborts the whole run.
+
+The generated source kinds are the :data:`~alphadom.generators.FAMILIES`
+names.  Such a source's keys are its generator's parameters, plus ``count``
+and ``weights``, checked against the parameter types when the config is
+read, and it calls the generator directly.
 """
 from __future__ import annotations
 
@@ -13,14 +18,13 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import io as graph_io
 from .community import community_rounding
-from .generators import (GnmSpec, PlantedPartitionSpec, PowerlawClusterSpec,
-                         WeightSpec, assign_weights)
+from .generators import FAMILIES, WeightSpec, assign_weights, family_params
 from .graph import DominatingSet, DominationInstance, WeightedGraph, as_alpha, is_feasible
 from .greedy import Strategy, greedy_dominate
 from .rounding import randomized_rounding
@@ -70,40 +74,80 @@ ALGORITHMS = {
 }
 
 
-# a generated source's parameters are its spec's fields (string annotations)
-_GENERATORS = {"gnm": GnmSpec, "powerlaw-cluster": PowerlawClusterSpec,
-               "planted-partition": PlantedPartitionSpec}
-_FIELD_TYPES = {"int": int, "float": float}
 _SOURCE_KEYS = {"file": {"edges", "weight_table", "bundle"},
-                **{kind: {"count", "weights", *(f.name for f in fields(spec))}
-                   for kind, spec in _GENERATORS.items()}}
+                **{kind: {"count", "weights", *family_params(kind)} for kind in FAMILIES}}
+
+
+def _param(label: str, key: str, value, kind: type):
+    """A source's ``value`` for ``key`` as ``kind``, where an int passes for a
+    float; anything else is a ValueError that names the source and the key."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        return kind(value)
+    raise ValueError(f"source {label!r}: {key!r} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class GraphSource:
-    """One named producer of graphs: a generator spec with a count, or files.
+    """One named producer of graphs: a generated family with a count, or files.
 
-    Generated sources draw ``count`` graphs whose construction seeds derive
-    from the experiment base seed, the source label, and the graph index;
-    ``weights`` re-draws vertex weights uniformly from the given inclusive
-    range (generator output is weight-1 otherwise).
+    A generated source calls its :data:`~alphadom.generators.FAMILIES`
+    function with ``params`` to draw ``count`` graphs, whose construction
+    seeds derive from the experiment base seed, the source label, and the
+    graph index; ``weights`` re-draws vertex weights uniformly from its
+    range (generator output is weight-1 otherwise).  A file source's
+    ``params`` hold its ``edges``, ``weight_table`` and ``bundle`` paths.
     """
 
     label: str
-    kind: str                      # gnm | powerlaw-cluster | planted-partition | file
+    kind: str                      # a generators.FAMILIES name, or "file"
     count: int = 1
     params: dict = field(default_factory=dict)
-    weights: tuple[int, int] | None = None
-    edge_path: str | None = None
-    weight_path: str | None = None
-    bundle_path: str | None = None
+    weights: WeightSpec | None = None
 
-    def __post_init__(self):
-        if self.kind not in _SOURCE_KEYS:
-            raise ValueError(f"unknown source kind {self.kind!r}; "
+    @classmethod
+    def from_dict(cls, entry: dict, position: int) -> "GraphSource":
+        """The config's ``sources[position]`` entry, checked key by key; each
+        error is a one-line ValueError that names the source and the key."""
+        if not isinstance(entry, dict):
+            raise ValueError(f"sources[{position}] is not an object")
+        for key in ("label", "kind"):
+            if key not in entry:
+                raise ValueError(f"sources[{position}] has no {key!r} key")
+        label, kind = entry["label"], entry["kind"]
+        if kind not in _SOURCE_KEYS:
+            raise ValueError(f"unknown source kind {kind!r}; "
                              f"known: {', '.join(sorted(_SOURCE_KEYS))}")
-        if self.kind == "file" and self.edge_path is None and self.bundle_path is None:
-            raise ValueError(f"file source {self.label!r} needs 'edges' or 'bundle'")
+        unknown = sorted(set(entry) - {"kind", "label"} - _SOURCE_KEYS[kind])
+        if unknown:
+            raise ValueError(f"source {label!r}: unknown key {unknown[0]!r}; accepted: "
+                             f"kind, label, {', '.join(sorted(_SOURCE_KEYS[kind]))}")
+        if kind == "file":
+            if "edges" not in entry and "bundle" not in entry:
+                raise ValueError(f"file source {label!r} needs 'edges' or 'bundle'")
+            return cls(label, kind, params={key: _param(label, key, value, str)
+                                            for key, value in entry.items()
+                                            if key in _SOURCE_KEYS[kind]})
+        params = {}
+        for key, key_type in family_params(kind).items():
+            if key not in entry:
+                raise ValueError(f"source {label!r}: missing key {key!r}")
+            params[key] = _param(label, key, entry[key], key_type)
+        count = _param(label, "count", entry.get("count", 1), int)
+        if count < 1:
+            raise ValueError(f"source {label!r}: 'count' must be >= 1, got {count}")
+        weights = None
+        if "weights" in entry:
+            pair = entry["weights"]
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"source {label!r}: 'weights' must be a [min, max] pair, "
+                                 f"got {pair!r}")
+            lo, hi = (_param(label, "weights", w, int) for w in pair)
+            try:
+                weights = WeightSpec(lo, hi)
+            except ValueError as exc:
+                raise ValueError(f"source {label!r}: 'weights': {exc}") from None
+        return cls(label, kind, count, params, weights)
 
     def graph_ids(self) -> list[str]:
         if self.kind == "file":
@@ -112,21 +156,15 @@ class GraphSource:
 
     def build(self, index: int, base_seed: int) -> WeightedGraph:
         if self.kind == "file":
-            if self.bundle_path is not None:
-                return graph_io.read_graph_bundle(self.bundle_path)
-            return graph_io.ingest_graph(self.edge_path, self.weight_path)
-        spec = self._gen_spec()
-        g = spec.generate(derive_seed(base_seed, "graph", self.label, index))
+            if "bundle" in self.params:
+                return graph_io.read_graph_bundle(self.params["bundle"])
+            return graph_io.ingest_graph(self.params["edges"], self.params.get("weight_table"))
+        g = FAMILIES[self.kind](**self.params,
+                                seed=derive_seed(base_seed, "graph", self.label, index))
         if self.weights is not None:
-            lo, hi = self.weights
-            g = assign_weights(g, WeightSpec(lo, hi),
+            g = assign_weights(g, self.weights,
                                derive_seed(base_seed, "weights", self.label, index))
         return g
-
-    def _gen_spec(self):
-        spec = _GENERATORS[self.kind]
-        return spec(**{f.name: _FIELD_TYPES[f.type](self.params[f.name])
-                       for f in fields(spec)})
 
 
 _CONFIG_KEYS = {"base_seed", "repetitions", "alphas", "algorithms", "sources"}
@@ -156,28 +194,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}; "
                              f"known: {', '.join(sorted(_CONFIG_KEYS))}")
-        sources = []
-        for position, entry in enumerate(payload.get("sources", [])):
-            entry = dict(entry)
-            for key in ("label", "kind"):
-                if key not in entry:
-                    raise ValueError(f"sources[{position}] has no {key!r} key")
-            keys = set(entry) - {"kind", "label"}
-            weights = entry.pop("weights", None)
-            source = GraphSource(
-                label=entry.pop("label"), kind=entry.pop("kind"),
-                count=int(entry.pop("count", 1)),
-                weights=tuple(weights) if weights else None,
-                edge_path=entry.pop("edges", None),
-                weight_path=entry.pop("weight_table", None),
-                bundle_path=entry.pop("bundle", None),
-                params=entry,
-            )
-            unknown = sorted(keys - _SOURCE_KEYS[source.kind])
-            if unknown:
-                raise ValueError(f"source {source.label!r}: unknown key {unknown[0]!r}; accepted: "
-                                 f"kind, label, {', '.join(sorted(_SOURCE_KEYS[source.kind]))}")
-            sources.append(source)
+        sources = tuple(GraphSource.from_dict(entry, position)
+                        for position, entry in enumerate(payload.get("sources", [])))
         kwargs = {}
         if "alphas" in payload:
             kwargs["alphas"] = tuple(as_alpha(a) for a in payload["alphas"])
@@ -187,7 +205,7 @@ class ExperimentConfig:
             kwargs["repetitions"] = int(payload["repetitions"])
         if "base_seed" in payload:
             kwargs["base_seed"] = int(payload["base_seed"])
-        return cls(sources=tuple(sources), **kwargs)
+        return cls(sources=sources, **kwargs)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

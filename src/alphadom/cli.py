@@ -20,7 +20,7 @@ from . import io as graph_io
 from .bench import (ALGORITHMS, ContractViolationError, ExperimentConfig,
                     run_experiment, write_rows_csv, write_summary_json)
 from .community import louvain
-from .generators import WeightSpec, assign_weights, gen_gnm, gen_planted_partition, gen_powerlaw_cluster
+from .generators import FAMILIES, WeightSpec, assign_weights, family_params
 from .graph import DominationInstance, as_alpha, deficiency, graph_stats
 from .lp import build_lp, lp_text
 from .oracle import InstanceTooLargeError, brute_force_opt
@@ -48,6 +48,22 @@ def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", help="self-contained JSON graph bundle")
 
 
+# generate's flag and help text for each generator parameter; the parameter
+# name is the flag's argparse dest, and the usage line shows the flag's own
+# spelling as its metavar
+_GENERATE_FLAGS = {
+    "n": ("--n", "vertex count"),
+    "m": ("--m", "edge count"),
+    "edges_per_new_vertex": ("--epnv", "edges per new vertex"),
+    "triangle_prob": ("--triangle-prob", "triad-closure probability"),
+    "l": ("--blocks", "community count"),
+    "community_size": ("--block-size", "community size"),
+    "p_in": ("--p-in", "intra-community edge probability"),
+    "p_out": ("--p-out", "inter-community edge probability"),
+}
+_GENERATE_DEFAULTS = {"triangle_prob": 0.8}
+
+
 def _load_graph(args):
     if args.bundle:
         return graph_io.read_graph_bundle(args.bundle)
@@ -62,16 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a random graph and write it to files")
-    gen.add_argument("family", choices=["gnm", "powerlaw-cluster", "planted-partition"])
+    gen.add_argument("family", choices=list(FAMILIES))
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n", type=int, help="vertex count (gnm, powerlaw-cluster)")
-    gen.add_argument("--m", type=int, help="edge count (gnm)")
-    gen.add_argument("--epnv", type=int, help="edges per new vertex (powerlaw-cluster)")
-    gen.add_argument("--triangle-prob", type=float, default=0.8)
-    gen.add_argument("--blocks", type=int, help="community count (planted-partition)")
-    gen.add_argument("--block-size", type=int, help="community size (planted-partition)")
-    gen.add_argument("--p-in", type=float, help="intra-community edge probability")
-    gen.add_argument("--p-out", type=float, help="inter-community edge probability")
+    params = {name: kind for family in FAMILIES for name, kind in family_params(family).items()}
+    for name, kind in params.items():
+        flag, text = _GENERATE_FLAGS[name]
+        users = ", ".join(family for family in FAMILIES if name in family_params(family))
+        gen.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(), type=kind,
+                         default=_GENERATE_DEFAULTS.get(name), help=f"{text} ({users})")
     gen.add_argument("--weight-range", default="1:71",
                      help="inclusive uniform weight range, e.g. 1:71")
     gen.add_argument("--out", required=True,
@@ -114,18 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     lo, _, hi = args.weight_range.partition(":")
     spec = WeightSpec(int(lo), int(hi or lo))
-    if args.family == "gnm":
-        if args.n is None or args.m is None:
-            raise SystemExit2("gnm requires --n and --m")
-        g = gen_gnm(args.n, args.m, args.seed)
-    elif args.family == "powerlaw-cluster":
-        if args.n is None or args.epnv is None:
-            raise SystemExit2("powerlaw-cluster requires --n and --epnv")
-        g = gen_powerlaw_cluster(args.n, args.epnv, args.triangle_prob, args.seed)
-    else:
-        if args.blocks is None or args.block_size is None or args.p_in is None or args.p_out is None:
-            raise SystemExit2("planted-partition requires --blocks, --block-size, --p-in, --p-out")
-        g = gen_planted_partition(args.blocks, args.block_size, args.p_in, args.p_out, args.seed)
+    params = {name: getattr(args, name) for name in family_params(args.family)}
+    if any(value is None for value in params.values()):
+        flags = [_GENERATE_FLAGS[name][0] for name in params if name not in _GENERATE_DEFAULTS]
+        listed = " and ".join(flags) if len(flags) == 2 else ", ".join(flags)
+        raise SystemExit2(f"{args.family} requires {listed}")
+    g = FAMILIES[args.family](**params, seed=args.seed)
     g = assign_weights(g, spec, args.seed + 1)
     graph_io.write_edge_list(g, args.out + ".edges")
     graph_io.write_weight_table(g, args.out + ".weights")

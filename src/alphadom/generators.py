@@ -1,13 +1,20 @@
 """Seeded random graph construction: uniform G(n, m), triad-closure
 preferential attachment, and planted partition, plus uniform integer weights.
 
-Determinism contract: the same (spec, seed) always yields the same graph in
-this implementation.  No attempt is made to match any external library's RNG
-stream; only self-consistency is promised.
+:data:`FAMILIES` is the one registry of generated families: the CLI's
+``generate`` choices and flags and the bench config's source kinds and keys
+are read from it, and :func:`family_params` gives a family's parameters and
+their types from its generator's signature.  A new family is one generator
+function and one entry.
+
+Determinism contract: the same (family, parameters, seed) always yields the
+same graph in this implementation.  No attempt is made to match any external
+library's RNG stream; only self-consistency is promised.
 """
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,36 +219,17 @@ def planted_block_assignment(l: int, community_size: int) -> list[int]:
     return [v // community_size for v in range(l * community_size)]
 
 
-@dataclass(frozen=True)
-class GnmSpec:
-    n: int
-    m: int
-
-    def generate(self, seed: int) -> WeightedGraph:
-        return gen_gnm(self.n, self.m, seed)
-
-
-@dataclass(frozen=True)
-class PowerlawClusterSpec:
-    n: int
-    edges_per_new_vertex: int
-    triangle_prob: float
-
-    def generate(self, seed: int) -> WeightedGraph:
-        return gen_powerlaw_cluster(self.n, self.edges_per_new_vertex,
-                                    self.triangle_prob, seed)
+FAMILIES = {
+    "gnm": gen_gnm,
+    "powerlaw-cluster": gen_powerlaw_cluster,
+    "planted-partition": gen_planted_partition,
+}
+"""Every generated graph family by name.  A family's generator takes its
+parameters by keyword and the construction seed as ``seed``."""
 
 
-@dataclass(frozen=True)
-class PlantedPartitionSpec:
-    l: int
-    community_size: int
-    p_in: float
-    p_out: float
-
-    def generate(self, seed: int) -> WeightedGraph:
-        return gen_planted_partition(self.l, self.community_size,
-                                     self.p_in, self.p_out, seed)
-
-
-GenSpec = GnmSpec | PowerlawClusterSpec | PlantedPartitionSpec
+def family_params(family: str) -> dict[str, type]:
+    """Name and type of each parameter of ``family``'s generator, in
+    signature order, ``seed`` excepted."""
+    hints = typing.get_type_hints(FAMILIES[family])
+    return {name: kind for name, kind in hints.items() if name not in ("seed", "return")}

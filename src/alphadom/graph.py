@@ -11,6 +11,7 @@ because of a float rounding artifact.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -128,7 +129,11 @@ class WeightedGraph:
         return g
 
     def _set(self, n, indptr, indices, weights, labels) -> None:
-        w = tuple(map(int, weights))
+        try:
+            w = tuple(map(operator.index, weights))
+        except TypeError:
+            v, bad = next((v, x) for v, x in enumerate(weights) if not hasattr(x, "__index__"))
+            raise ValueError(f"weight {bad!r} of vertex {v} is not an integer") from None
         if len(w) != n:
             raise ValueError(f"{len(w)} weights for {n} vertices")
         if w and min(w) < 1:
@@ -227,8 +232,15 @@ class WeightedGraph:
         return zip(owners[upper].tolist(), self.indices[upper].tolist())
 
     def weight_array(self) -> np.ndarray:
+        """The weights as int64; ValueError names the first weight past that range."""
         if self._weight_array is None:
-            self._weight_array = np.asarray(self.weights, dtype=np.int64)
+            try:
+                self._weight_array = np.asarray(self.weights, dtype=np.int64)
+            except OverflowError:
+                limit = int(np.iinfo(np.int64).max)
+                v = next(v for v, w in enumerate(self.weights) if w > limit)
+                raise ValueError(f"vertex {self.label_of(v)} has weight {self.weights[v]}, "
+                                 f"past the int64 limit {limit}") from None
         return self._weight_array
 
     def closed_csr(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from alphadom import (ALGORITHMS, DominationInstance, WeightSpec, assign_weights,
-                      gen_gnm, ingest_graph)
+                      gen_gnm, gen_powerlaw_cluster, ingest_graph)
 from alphadom.cli import main
 from alphadom.io import read_solution, write_edge_list, write_weight_table
 
@@ -63,6 +63,15 @@ class TestGenerate:
                            "--seed", "2", "--out", str(tmp_path / "plp"))
         assert code == 0
         assert json.loads(out)["components"] == 3
+
+    def test_powerlaw_cluster_matches_the_library(self, tmp_path, capsys):
+        # --triangle-prob defaults to 0.8; the weights are drawn with seed + 1
+        code, _, _ = run(capsys, "generate", "powerlaw-cluster", "--n", "40", "--epnv", "3",
+                         "--seed", "5", "--out", str(tmp_path / "pc"))
+        assert code == 0
+        g = ingest_graph(tmp_path / "pc.edges", tmp_path / "pc.weights")
+        want = assign_weights(gen_powerlaw_cluster(40, 3, 0.8, 5), WeightSpec(1, 71), 6)
+        assert g.adjacency == want.adjacency and g.weights == want.weights
 
     def test_missing_required_params(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "gnm", "--out", str(tmp_path / "x"))
@@ -240,6 +249,21 @@ class TestBench:
         assert "sources[1]" in err and missing in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("extra, key", [
+        ({}, "'m'"),
+        ({"m": 30, "weights": [1]}, "'weights'"),
+        ({"m": 30, "n": 5.7}, "'n'"),
+        ({"m": 30, "count": -2}, "'count'"),
+    ])
+    def test_bad_source_value_exit_code(self, tmp_path, capsys, extra, key):
+        cfg = {"sources": [{"kind": "gnm", "label": "er", "n": 15, **extra}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert "'er'" in err and key in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_file_source_without_paths_exit_code(self, tmp_path, capsys):
         cfg = {"sources": [{"kind": "file", "label": "mine"}]}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -298,6 +322,25 @@ class TestErrors:
         code, _, err = run(capsys, "verify", "--edges", str(tmp_path / "nope.edges"),
                            "--alpha", "1/2", "--solution", str(tmp_path / "s.txt"))
         assert code == 2
+
+    def test_bundle_weight_that_is_not_an_integer_exit_code(self, tmp_path, capsys):
+        bundle = tmp_path / "g.json"
+        bundle.write_text(json.dumps({"n": 3, "edges": [[0, 1]], "weights": [2.9, 1, "3"]}))
+        code, _, err = run(capsys, "solve", "--bundle", str(bundle), "--alpha", "1/2",
+                           "--algo", "greedy-s1")
+        assert code == 2 and str(bundle) in err and "2.9" in err
+
+    @pytest.mark.parametrize("algo, dump_lp", [("rr", False), ("rrwc", False),
+                                               ("greedy-s1", True)])
+    def test_weight_past_int64_in_the_lp_exit_code(self, tmp_path, capsys, algo, dump_lp):
+        (tmp_path / "g.edges").write_text("a b\nb c\n")
+        (tmp_path / "g.weights").write_text("a 18446744073709551617\nb 1\nc 2\n")
+        extra = ["--dump-lp", str(tmp_path / "g.lp")] if dump_lp else []
+        code, _, err = run(capsys, "solve", "--edges", str(tmp_path / "g.edges"),
+                           "--weights", str(tmp_path / "g.weights"), "--alpha", "1/2",
+                           "--algo", algo, *extra)
+        assert code == 1 and len(err.splitlines()) == 1
+        assert "vertex a" in err and "18446744073709551617" in err and "int64" in err
 
     def test_ingest_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("a a\n")

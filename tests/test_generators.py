@@ -6,7 +6,7 @@ import pytest
 
 from alphadom import (WeightSpec, assign_weights, gen_gnm, gen_planted_partition,
                       gen_powerlaw_cluster, planted_block_assignment)
-from alphadom.generators import _pair_from_index
+from alphadom.generators import FAMILIES, _pair_from_index, family_params
 from alphadom.graph import connected_components
 
 
@@ -146,3 +146,14 @@ def test_generated_graphs_pass_constructor_invariants():
               gen_planted_partition(4, 25, 0.2, 0.01, 0)):
         assert g.n == 100
         assert all(v not in g.neighbors(v) for v in range(g.n))
+
+
+def test_families_registry_gives_each_generator_and_its_typed_parameters():
+    # these parameters are the bench config keys of each source kind
+    assert FAMILIES == {"gnm": gen_gnm, "powerlaw-cluster": gen_powerlaw_cluster,
+                        "planted-partition": gen_planted_partition}
+    assert family_params("gnm") == {"n": int, "m": int}
+    assert family_params("powerlaw-cluster") == {
+        "n": int, "edges_per_new_vertex": int, "triangle_prob": float}
+    assert family_params("planted-partition") == {
+        "l": int, "community_size": int, "p_in": float, "p_out": float}

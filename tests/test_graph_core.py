@@ -28,6 +28,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="weights"):
             WeightedGraph.from_edges(2, [(0, 1)], [1, 0])
 
+    def test_rejects_weights_that_are_not_integers(self):
+        with pytest.raises(ValueError, match="weight 1.7 of vertex 0 is not an integer"):
+            WeightedGraph.from_edges(2, [(0, 1)], [1.7, True])
+        weights = WeightedGraph.from_edges(2, [(0, 1)], np.array([3, 4])).weights
+        assert weights == (3, 4) and all(type(w) is int for w in weights)
+
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError, match="mirror"):
             WeightedGraph([(1,), ()], [1, 1])

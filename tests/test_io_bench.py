@@ -330,3 +330,12 @@ def test_derive_seed_is_stable_and_spread():
     others = {derive_seed(42, "er-0", Fraction(1, 4), "rr", rep) for rep in range(50)}
     assert len(others) == 50
     assert all(0 <= s < 2 ** 64 for s in others)
+
+
+def test_readme_experiment_config_is_accepted():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config (JSON)", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert [s.kind for s in cfg.sources] == ["gnm", "powerlaw-cluster", "planted-partition",
+                                             "file"]
