@@ -24,7 +24,7 @@ frac = solve_lp(lp)
 
 print("fractional optimum:", np.round(frac.values, 3))
 print("objective:", round(frac.objective_value, 3))
-print("HiGHS simplex iterations:", frac.iterations)
+print(f"HiGHS {frac.backend} iterations:", frac.iterations)
 check = certify(lp, frac)
 print("exact certificate (rationalized primal against the safe dual bound):",
       f"objective={check.objective} bound={check.lower_bound} "

@@ -78,13 +78,15 @@ _SOURCE_KEYS = {"file": {"edges", "weight_table", "bundle"},
                 **{kind: {"count", "weights", *family_params(kind)} for kind in FAMILIES}}
 
 
-def _param(label: str, key: str, value, kind: type):
-    """A source's ``value`` for ``key`` as ``kind``, where an int passes for a
-    float; anything else is a ValueError that names the source and the key."""
+def _param(label: str | None, key: str, value, kind: type):
+    """A config ``value`` for ``key`` as ``kind``, where an int passes for a
+    float; anything else is a ValueError that names the key and, for a
+    source's value (``label`` given), the source."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and not isinstance(value, bool):
         return kind(value)
-    raise ValueError(f"source {label!r}: {key!r} must be {kind.__name__}, got {value!r}")
+    where = "" if label is None else f"source {label!r}: "
+    raise ValueError(f"{where}{key!r} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -201,10 +203,9 @@ class ExperimentConfig:
             kwargs["alphas"] = tuple(as_alpha(a) for a in payload["alphas"])
         if "algorithms" in payload:
             kwargs["algorithms"] = tuple(payload["algorithms"])
-        if "repetitions" in payload:
-            kwargs["repetitions"] = int(payload["repetitions"])
-        if "base_seed" in payload:
-            kwargs["base_seed"] = int(payload["base_seed"])
+        for key in ("repetitions", "base_seed"):
+            if key in payload:
+                kwargs[key] = _param(None, key, payload[key], int)
         return cls(sources=sources, **kwargs)
 
     @classmethod

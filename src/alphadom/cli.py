@@ -84,8 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, kind in params.items():
         flag, text = _GENERATE_FLAGS[name]
         users = ", ".join(family for family in FAMILIES if name in family_params(family))
+        # SUPPRESS leaves a flag that was not given off the namespace, so a
+        # default value cannot pass for a flag the family does not take
         gen.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(), type=kind,
-                         default=_GENERATE_DEFAULTS.get(name), help=f"{text} ({users})")
+                         default=argparse.SUPPRESS, help=f"{text} ({users})")
     gen.add_argument("--weight-range", default="1:71",
                      help="inclusive uniform weight range, e.g. 1:71")
     gen.add_argument("--out", required=True,
@@ -125,14 +127,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _listed(flags: list[str]) -> str:
+    return " and ".join(flags) if len(flags) == 2 else ", ".join(flags)
+
+
 def _cmd_generate(args) -> int:
     lo, _, hi = args.weight_range.partition(":")
     spec = WeightSpec(int(lo), int(hi or lo))
-    params = {name: getattr(args, name) for name in family_params(args.family)}
+    wanted = family_params(args.family)
+    foreign = [flag for name, (flag, _) in _GENERATE_FLAGS.items()
+               if hasattr(args, name) and name not in wanted]
+    if foreign:
+        raise SystemExit2(f"{args.family} does not take {_listed(foreign)}")
+    params = {name: getattr(args, name, _GENERATE_DEFAULTS.get(name)) for name in wanted}
     if any(value is None for value in params.values()):
         flags = [_GENERATE_FLAGS[name][0] for name in params if name not in _GENERATE_DEFAULTS]
-        listed = " and ".join(flags) if len(flags) == 2 else ", ".join(flags)
-        raise SystemExit2(f"{args.family} requires {listed}")
+        raise SystemExit2(f"{args.family} requires {_listed(flags)}")
     g = FAMILIES[args.family](**params, seed=args.seed)
     g = assign_weights(g, spec, args.seed + 1)
     graph_io.write_edge_list(g, args.out + ".edges")

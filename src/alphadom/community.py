@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .graph import DominatingSet, DominationInstance, WeightedGraph
 from .lp import build_lp, solve_lp
 from .rounding import default_max_rounds, repair, round_until_feasible
@@ -24,6 +25,8 @@ from .rounding import default_max_rounds, repair, round_until_feasible
 from .rounding import is_feasible, round_once  # noqa: F401
 
 _GAIN_TOL = 1e-12  # the least rise in modularity that earns another level
+# largest 2m the C local moves take: their int64 gains stay below 2^62
+_NATIVE_MAX_TWO_M = 2**31
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,25 @@ def modularity(g: WeightedGraph, p: Partition) -> float:
     return _modularity(g, np.asarray(p.community_of, dtype=np.int64))
 
 
-def _local_moves(rows, weights, strength: list[int], two_m: int) -> tuple[list[int], bool]:
-    """One complete local-move phase over one level; returns (community of
-    each level vertex, whether anything moved).
+def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
+                 strength: np.ndarray, two_m: int) -> tuple[list[int], bool]:
+    """One complete local-move phase over one level, on its CSR rows with
+    integer weights ``data`` (None: unit weights); returns (community of each
+    level vertex, whether anything moved).
+
+    The phase runs in C (:mod:`alphadom._native`) when that can be built and
+    2m is at most ``_NATIVE_MAX_TWO_M``, and otherwise in Python
+    (:func:`_local_moves_py`); both make the same moves.
+    """
+    native = _native.local_moves()
+    if native is not None and two_m <= _NATIVE_MAX_TWO_M:
+        return native(indptr, indices, data, strength, two_m)
+    weights = None if data is None else _split_rows(indptr, data)
+    return _local_moves_py(_split_rows(indptr, indices), weights, strength.tolist(), two_m)
+
+
+def _local_moves_py(rows, weights, strength: list[int], two_m: int) -> tuple[list[int], bool]:
+    """The local-move phase of :func:`_local_moves` in Python.
 
     ``rows[v]`` lists the neighbours of v other than itself, each once, with
     integer weights ``weights[v]``, or unit weights when ``weights`` is None.
@@ -151,20 +170,24 @@ def _local_moves(rows, weights, strength: list[int], two_m: int) -> tuple[list[i
 
 def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
                comm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next level: communities contracted to vertices by one product
-    Pᵀ A P, with the edges inside a community (its diagonal) dropped, since
-    a self-loop enters the gains only through the vertex strength."""
-    from scipy.sparse import csr_array
-
-    n, k = len(comm), int(comm.max()) + 1
-    if data is None:
-        data = np.ones(len(indices), dtype=np.int64)
-    a = csr_array((data, indices, indptr), shape=(n, n))
-    p = csr_array((np.ones(n, dtype=np.int64), (np.arange(n), comm)), shape=(n, k))
-    b = (p.T @ a @ p).tocoo()
-    off = b.row != b.col
-    b = csr_array((b.data[off], (b.row[off], b.col[off])), shape=(k, k))
-    return b.indptr, b.indices, b.data
+    """The next level: each community contracted to one vertex, with the
+    weights of the entries between two communities summed and the entries
+    inside a community dropped, since a self-loop enters the gains only
+    through the vertex strength.  Rows come out with ascending columns."""
+    k = int(comm.max()) + 1
+    owner = np.repeat(comm, np.diff(indptr))
+    other = comm[indices]
+    cross = owner != other
+    key = owner[cross] * k + other[cross]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    weight = np.ones(len(key), dtype=np.int64) if data is None else data[cross][order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(weight, first) if len(first) else weight
+    key = key[first]
+    new_indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // k, minlength=k), out=new_indptr[1:])
+    return new_indptr, key % k, sums
 
 
 def _split_rows(indptr: np.ndarray, values: np.ndarray) -> list[list[int]]:
@@ -181,9 +204,9 @@ def louvain(g: WeightedGraph) -> Partition:
     prefer the lowest community id, so the partition depends on the graph
     alone.  It is therefore computed once per graph object and kept on the
     graph; later calls return the same :class:`Partition`.  Level 0 reads
-    the graph's own rows with unit weights, and each later level is one
-    sparse product with integer weights, so every gain is an exact integer
-    and no comparison depends on rounding.
+    the graph's own CSR rows with unit weights, and each later level is the
+    previous one contracted, with integer weights, so every gain is an
+    exact integer and no comparison depends on rounding.
     """
     if g._partition is None:
         g._partition = _louvain(g)
@@ -195,12 +218,11 @@ def _louvain(g: WeightedGraph) -> Partition:
         return Partition((), 0)
     two_m = 2 * g.edge_count
     indptr, indices, data = g.indptr, g.indices, None
-    rows, weights = g.adjacency, None
     strength = np.diff(indptr)  # per level vertex: the degrees of its members, summed
     membership = np.arange(g.n)  # original vertex -> current level vertex
     best_q = _modularity(g, membership)
     while True:
-        comm, moved = _local_moves(rows, weights, strength.tolist(), two_m)
+        comm, moved = _local_moves(indptr, indices, data, strength, two_m)
         if not moved:
             break
         comm = np.asarray(Partition.from_assignment(comm).community_of)
@@ -211,7 +233,6 @@ def _louvain(g: WeightedGraph) -> Partition:
         best_q = q
         strength = np.bincount(comm, weights=strength).astype(np.int64)
         indptr, indices, data = _aggregate(indptr, indices, data, comm)
-        rows, weights = _split_rows(indptr, indices), _split_rows(indptr, data)
     return Partition.from_assignment(membership.tolist())
 
 

@@ -169,12 +169,20 @@ def write_graph_bundle(g: WeightedGraph, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
+def _bundle_int(value, what: str) -> int:
+    """A bundle's JSON integer; a float, string or boolean is a ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def read_graph_bundle(path) -> WeightedGraph:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return WeightedGraph.from_edges(
-            int(payload["n"]),
-            [(int(u), int(v)) for u, v in payload["edges"]],
+            _bundle_int(payload["n"], "vertex count"),
+            [(_bundle_int(u, "edge endpoint"), _bundle_int(v, "edge endpoint"))
+             for u, v in payload["edges"]],
             payload["weights"],
             payload.get("labels"),
         )

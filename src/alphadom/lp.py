@@ -6,7 +6,9 @@ to [0, 1].  The constraint matrix is A + I of the graph, kept sparse.
 
 :func:`solve_lp` hands the rows to HiGHS (Huangfu & Hall, Math. Prog. Comp.
 2018) through the solver object bundled with scipy, in one run that yields the
-vertex, the row duals and the simplex iteration count.  :func:`certify`
+vertex, the row duals and the iteration count.  Large programs with long rows
+go to HiGHS's interior-point solver with crossover, every other program to its
+dual simplex; both end at a vertex.  :func:`certify`
 checks a solution with those duals in exact rational arithmetic, using the
 safe dual bound of Neumaier & Shcherbina (Math. Prog. 2004), and runs no
 solver.  scipy is imported inside :func:`solve_lp`, so commands that never
@@ -24,6 +26,14 @@ from .graph import DominationInstance
 GAP_TOL = Fraction(1, 10**9)    # largest relative gap a certificate accepts
 DUAL_DENOMINATOR = 10**9        # rationalization limits of the certificate
 PRIMAL_DENOMINATOR = 10**6
+# solve_lp runs IPM + crossover on a program with at least IPM_MIN_NONZEROS
+# nonzeros in A + I and a mean row of at least IPM_MIN_MEAN_ROW; below either
+# it runs dual simplex.  Measured (README, "Notes on scale"): on dense random
+# and planted LPs the two are level near 6,000 nonzeros and IPM is 1.6-16x
+# faster from n=800 to 5000; on hub-heavy, near-integral LPs with rows of
+# 3-4 (mentions-like graphs, stars) IPM is 1.3-4.5x slower at every size.
+IPM_MIN_NONZEROS = 6000
+IPM_MIN_MEAN_ROW = 5
 
 
 class SimplexError(RuntimeError):
@@ -63,13 +73,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Optimal vertex of the relaxation, with the row duals and the simplex
-    iteration count of the HiGHS run that found it."""
+    """Optimal vertex of the relaxation, with the row duals, the iteration
+    count and the solver of the HiGHS run that found it."""
 
     values: np.ndarray           # x, clipped to [0, 1]^n, no signed zeros
     objective_value: float
-    iterations: int
+    iterations: int              # simplex + IPM + crossover iterations
     duals: np.ndarray            # one per row, nonnegative up to rounding
+    backend: str                 # "simplex" or "ipm" (with crossover)
 
 
 def build_lp(inst: DominationInstance) -> LinearProgram:
@@ -88,13 +99,17 @@ def build_lp(inst: DominationInstance) -> LinearProgram:
 def solve_lp(lp: LinearProgram) -> FractionalSolution:
     """Optimal vertex of the relaxation, from one HiGHS run.
 
-    The CSR rows go to HiGHS row-wise, with only its log switched off.
-    Raises :class:`SimplexError`, naming n, the iterations reached and the
-    model status, when HiGHS reports anything but an optimum.
+    The CSR rows go to HiGHS row-wise, with only its log switched off and,
+    for a program past the cut above, the IPM solver with crossover.  Raises
+    :class:`SimplexError`, naming n, the iterations reached, the solver and
+    the model status, when HiGHS reports anything but an optimum, or when
+    crossover leaves no valid basis (the point would not be a vertex).
     """
     m, n = len(lp.bounds), lp.n_vars
     if m == 0 or n == 0:
-        return FractionalSolution(np.zeros(n), 0.0, 0, np.zeros(m))
+        return FractionalSolution(np.zeros(n), 0.0, 0, np.zeros(m), "simplex")
+    nnz = len(lp.indices)
+    backend = "ipm" if nnz >= IPM_MIN_NONZEROS and nnz >= IPM_MIN_MEAN_ROW * m else "simplex"
 
     from scipy.optimize._highspy import _core as highs
     c = lp.weights.astype(float)
@@ -106,21 +121,33 @@ def solve_lp(lp: LinearProgram) -> FractionalSolution:
     matrix = model.a_matrix_
     matrix.format_ = highs.MatrixFormat.kRowwise  # HiGHS takes its shape from the model
     matrix.start_, matrix.index_ = lp.indptr, lp.indices
-    matrix.value_ = np.ones(len(lp.indices))
+    matrix.value_ = np.ones(nnz)
 
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
+    if backend == "ipm":
+        solver.setOptionValue("solver", "ipm")
+        solver.setOptionValue("run_crossover", "on")
     solver.passModel(model)
     run_status = solver.run()
     status = solver.getModelStatus()
-    iterations = solver.getInfo().simplex_iteration_count
+    info = solver.getInfo()
+    # crossover_iteration_count reads 0 even when crossover ran
+    iterations = (info.simplex_iteration_count + info.ipm_iteration_count
+                  + info.crossover_iteration_count)
     if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+        failure = solver.modelStatusToString(status)
+    elif backend == "ipm" and info.basis_validity != highs.kBasisValidityValid:
+        failure = "crossover left no valid basis"
+    else:
+        failure = None
+    if failure:
         raise SimplexError(f"HiGHS found no optimum for n={n} after {iterations} "
-                           f"simplex iterations: {solver.modelStatusToString(status)}")
+                           f"{backend} iterations: {failure}")
     solution = solver.getSolution()
     values = np.clip(solution.col_value, 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
     return FractionalSolution(values, float(c @ values), iterations,
-                              np.asarray(solution.row_dual))
+                              np.asarray(solution.row_dual), backend)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from alphadom import (ALGORITHMS, DominationInstance, WeightSpec, assign_weights,
-                      gen_gnm, gen_powerlaw_cluster, ingest_graph)
+from alphadom import (ALGORITHMS, DominationInstance, WeightSpec, assign_weights, build_lp,
+                      gen_gnm, gen_powerlaw_cluster, ingest_graph, solve_lp)
 from alphadom.cli import main
 from alphadom.io import read_solution, write_edge_list, write_weight_table
 
@@ -22,10 +22,11 @@ def small_graph_files(tmp_path):
     return tmp_path
 
 
-def write_thread_test_graph(directory):
-    g = assign_weights(gen_gnm(300, 3000, 21), WeightSpec(1, 71), 22)
+def write_thread_test_graph(directory, n=300):
+    g = assign_weights(gen_gnm(n, 10 * n, 21), WeightSpec(1, 71), 22)
     write_edge_list(g, directory / "g.edges")
     write_weight_table(g, directory / "g.weights")
+    return g
 
 
 def solve_in_child(directory, algo, out, preexec_fn=None, **env):
@@ -77,6 +78,21 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "gnm", "--out", str(tmp_path / "x"))
         assert code == 1 and "requires" in err
 
+    @pytest.mark.parametrize("family, extra, named", [
+        ("gnm", ["--blocks", "3", "--p-in", "2.0"], "--blocks and --p-in"),
+        ("gnm", ["--triangle-prob", "0.8"], "--triangle-prob"),
+        ("planted-partition", ["--n", "10", "--m", "5", "--epnv", "2"], "--n, --m, --epnv"),
+    ])
+    def test_flags_of_other_families(self, tmp_path, capsys, family, extra, named):
+        # --triangle-prob has a default, so only a flag that was given counts
+        required = {"gnm": ["--n", "10", "--m", "5"],
+                    "planted-partition": ["--blocks", "2", "--block-size", "4",
+                                          "--p-in", "0.5", "--p-out", "0.1"]}[family]
+        code, _, err = run(capsys, "generate", family, *required, *extra,
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and err.splitlines() == [f"{family} does not take {named}"]
+        assert not (tmp_path / "x.edges").exists()
+
 
 class TestSolveAndVerify:
     @pytest.mark.parametrize("algo", ["greedy-s1", "greedy-s2", "greedy-s3", "rr", "rrwc"])
@@ -114,16 +130,26 @@ class TestSolveAndVerify:
         assert code == 0
         assert read_solution(g, tmp_path / "sol.txt").members == expected
 
-    @pytest.mark.parametrize("algo", ["rr", "rrwc"])
-    def test_sets_do_not_depend_on_thread_count(self, tmp_path, algo):
-        write_thread_test_graph(tmp_path)
+    @staticmethod
+    def assert_same_set_on_one_and_two_threads(directory, algo):
         sets = []
         for threads in ("1", "2"):
-            out = tmp_path / f"sol{threads}.txt"
-            solve_in_child(tmp_path, algo, out, OMP_NUM_THREADS=threads,
+            out = directory / f"sol{threads}.txt"
+            solve_in_child(directory, algo, out, OMP_NUM_THREADS=threads,
                            OPENBLAS_NUM_THREADS=threads)
             sets.append(out.read_text(encoding="utf-8"))
         assert sets[0] == sets[1] and sets[0]
+
+    @pytest.mark.parametrize("algo", ["rr", "rrwc"])
+    def test_sets_do_not_depend_on_thread_count(self, tmp_path, algo):
+        write_thread_test_graph(tmp_path)
+        self.assert_same_set_on_one_and_two_threads(tmp_path, algo)
+
+    def test_ipm_rr_set_does_not_depend_on_thread_count(self, tmp_path):
+        # the G(800, 8000) LP lies well past solve_lp's cut: rr solves it by IPM
+        g = write_thread_test_graph(tmp_path, 800)
+        assert solve_lp(build_lp(DominationInstance(g, Fraction(1, 2)))).backend == "ipm"
+        self.assert_same_set_on_one_and_two_threads(tmp_path, "rr")
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
@@ -264,6 +290,17 @@ class TestBench:
         assert "'er'" in err and key in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("repetitions", 2.7), ("base_seed", 1.9),
+                                            ("repetitions", True), ("base_seed", "3")])
+    def test_non_integer_repetitions_or_base_seed_exit_code(self, tmp_path, capsys, key, value):
+        cfg = {key: value, "sources": [{"kind": "gnm", "label": "er", "n": 15, "m": 30}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert f"'{key}' must be int, got {value!r}" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_file_source_without_paths_exit_code(self, tmp_path, capsys):
         cfg = {"sources": [{"kind": "file", "label": "mine"}]}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -322,6 +359,21 @@ class TestErrors:
         code, _, err = run(capsys, "verify", "--edges", str(tmp_path / "nope.edges"),
                            "--alpha", "1/2", "--solution", str(tmp_path / "s.txt"))
         assert code == 2
+
+    @pytest.mark.parametrize("payload, bad", [
+        ({"n": 3.9, "edges": [[0, 1], [1, 2]]}, "3.9"),
+        ({"n": 3, "edges": [[0.7, 1], [1, 2]]}, "0.7"),
+        ({"n": 3, "edges": [[0, 1], [1, 2.2]]}, "2.2"),
+        ({"n": 3, "edges": [[0, True], [1, 2]]}, "True"),
+    ])
+    def test_bundle_count_or_endpoint_that_is_not_an_integer_exit_code(self, tmp_path, capsys,
+                                                                       payload, bad):
+        bundle = tmp_path / "g.json"
+        bundle.write_text(json.dumps({**payload, "weights": [1, 2, 3]}))
+        code, _, err = run(capsys, "solve", "--bundle", str(bundle), "--alpha", "1/2",
+                           "--algo", "greedy-s1")
+        assert code == 2 and len(err.splitlines()) == 1
+        assert str(bundle) in err and f"{bad} is not an integer" in err
 
     def test_bundle_weight_that_is_not_an_integer_exit_code(self, tmp_path, capsys):
         bundle = tmp_path / "g.json"

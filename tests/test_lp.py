@@ -8,9 +8,9 @@ from hypothesis import given, settings
 
 import alphadom.lp as lp_module
 from alphadom import (DominationInstance, SimplexError, WeightedGraph, brute_force_opt,
-                      build_lp, certify, lp_text, solve_lp)
+                      build_lp, certify, louvain, lp_text, solve_lp)
 from alphadom.bench import derive_seed
-from alphadom.generators import WeightSpec, assign_weights, gen_gnm
+from alphadom.generators import WeightSpec, assign_weights, gen_gnm, gen_planted_partition
 
 from .strategies import instances
 
@@ -122,6 +122,103 @@ class TestSolve:
         assert sol.iterations == 0
 
 
+def force_backend(monkeypatch, backend):
+    """Send every LP to ``backend`` by moving :func:`solve_lp`'s cut."""
+    if backend == "ipm":
+        monkeypatch.setattr(lp_module, "IPM_MIN_NONZEROS", 0)
+        monkeypatch.setattr(lp_module, "IPM_MIN_MEAN_ROW", 0)
+    else:
+        monkeypatch.setattr(lp_module, "IPM_MIN_NONZEROS", float("inf"))
+
+
+def mentions_like(n, seed):
+    """A hub-heavy graph of the mentions kind: every vertex mentions one
+    other and n/2 more mentions fall at random, with targets drawn by
+    popularity 1/(rank + 2.5); rows of A + I average about 4 entries."""
+    rng = np.random.default_rng(seed)
+    mentions = n * 3 // 2
+    popularity = 1.0 / (np.arange(n) + 2.5)
+    src = np.concatenate([np.arange(n), rng.integers(0, n, size=mentions - n)])
+    dst = rng.permutation(n)[rng.choice(n, size=mentions, p=popularity / popularity.sum())]
+    keep = src != dst
+    g = WeightedGraph.from_edges(n, np.column_stack([src[keep], dst[keep]]))
+    return assign_weights(g, WeightSpec(1, 71), seed + 1)
+
+
+def row_shortfall(lp, values):
+    """How far the most violated covering row falls short of its bound."""
+    return float(max(0.0, np.max(lp.bounds - np.add.reduceat(values[lp.indices],
+                                                               lp.indptr[:-1]))))
+
+
+class TestSolverCut:
+    # G(60, 300) and G(200, 2000) fall below the cut, the others above it
+    @pytest.mark.parametrize("n, m", [(60, 300), (200, 2000), (300, 3000), (800, 8000)])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2)])
+    def test_both_solvers_reach_the_optimum(self, monkeypatch, n, m, alpha):
+        self.check_both_solvers(monkeypatch,
+                                assign_weights(gen_gnm(n, m, 3), WeightSpec(1, 71), 4), alpha)
+
+    def test_both_solvers_on_a_hub_heavy_graph(self, monkeypatch):
+        # optimal vertices differ here (the LP has many), optimal values do not
+        self.check_both_solvers(monkeypatch, mentions_like(500, 7), Fraction(1, 4))
+
+    @staticmethod
+    def check_both_solvers(monkeypatch, g, alpha):
+        lp = build_lp(DominationInstance(g, alpha))
+        sols = {}
+        for backend in ("simplex", "ipm"):
+            force_backend(monkeypatch, backend)
+            sols[backend] = solve_lp(lp)
+            assert sols[backend].backend == backend
+            assert sols[backend].iterations > 0
+        optimum = sols["simplex"].objective_value
+        # HiGHS's simplex meets the rows to its primal feasibility tolerance,
+        # 1e-7: on G(800, 8000) at alpha 1/2 its vertex misses one by 4.9e-9,
+        # where IPM + crossover reaches the same basis within 1e-12
+        assert row_shortfall(lp, sols["simplex"].values) <= 1e-7
+        assert row_shortfall(lp, sols["ipm"].values) <= 1e-9
+        for sol in sols.values():
+            assert abs(sol.objective_value - optimum) <= 1e-9 * optimum
+            # the duals are optimal: their exact safe bound meets the optimum
+            bound = float(certify(lp, sol).lower_bound)
+            assert abs(bound - optimum) <= 1e-9 * optimum
+
+    def test_the_cut_routes_by_size_and_row_length(self):
+        def backend(g, alpha=Fraction(1, 4)):
+            return solve_lp(build_lp(DominationInstance(g, alpha))).backend
+
+        er = assign_weights(gen_gnm(800, 8000, 3), WeightSpec(1, 71), 4)
+        assert backend(er) == backend(er, Fraction(1, 2)) == "ipm"
+        # long enough, but rows of 4 and 3: hub columns on a near-integral LP
+        assert backend(mentions_like(500, 7)) == backend(mentions_like(10_000, 7)) == "simplex"
+        assert backend(WeightedGraph.from_edges(10_001, [(0, v) for v in range(1, 10_001)])) \
+            == "simplex"
+        planted = assign_weights(gen_planted_partition(10, 100, 0.2, 0.001, 5),
+                                 WeightSpec(1, 71), 6)
+        communities = [c for c in louvain(planted).communities() if len(c) > 1]
+        assert len(communities) >= 10
+        for verts in communities:
+            assert backend(planted.subgraph(verts)[0]) == "simplex"
+
+    def test_ipm_route_when_presolve_solves_the_lp(self):
+        # at alpha 1 every row forces its whole neighbourhood: HiGHS's presolve
+        # fixes every variable, and that still counts as a vertex
+        g = assign_weights(gen_gnm(800, 8000, 3), WeightSpec(1, 71), 4)
+        sol = solve_lp(build_lp(DominationInstance(g, 1)))
+        assert sol.backend == "ipm"
+        assert np.array_equal(sol.values, np.ones(800))
+        assert sol.objective_value == sum(g.weights)
+
+    def test_ipm_without_crossover_is_an_error(self, monkeypatch):
+        # without crossover IPM stops at an interior point: no basis, no vertex
+        patch_highs(monkeypatch, run_crossover="off")
+        g = assign_weights(gen_gnm(300, 3000, 3), WeightSpec(1, 71), 4)
+        with pytest.raises(SimplexError, match=r"n=300 after \d+ ipm iterations: "
+                                               r"crossover left no valid basis"):
+            solve_lp(build_lp(DominationInstance(g, Fraction(1, 2))))
+
+
 def highs_core():
     """The HiGHS binding bundled with scipy, which :func:`solve_lp` drives."""
     from scipy.optimize._highspy import _core
@@ -129,8 +226,9 @@ def highs_core():
 
 
 def patch_highs(monkeypatch, **options):
-    """Swap the HiGHS object for the real one with ``options`` set; returns
-    the list that gets one entry per run."""
+    """Swap the HiGHS object for the real one with ``options`` pinned (a
+    later ``setOptionValue`` of the same name is ignored); returns the list
+    that gets one entry per run."""
     core = highs_core()
     real_highs, runs = core._Highs, []
 
@@ -143,6 +241,10 @@ def patch_highs(monkeypatch, **options):
         def __getattr__(self, name):
             return getattr(self._highs, name)
 
+        def setOptionValue(self, name, value):
+            if name not in options:
+                return self._highs.setOptionValue(name, value)
+
         def run(self):
             runs.append(1)
             return self._highs.run()
@@ -153,7 +255,7 @@ def patch_highs(monkeypatch, **options):
 
 @pytest.mark.parametrize("path", ["_Highs", "HighsLp", "MatrixFormat.kRowwise",
                                   "HighsModelStatus.kOptimal", "HighsStatus.kError",
-                                  "kHighsInf"])
+                                  "kHighsInf", "kBasisValidityValid"])
 def test_private_highs_api_is_present(path):
     # solve_lp relies on these names of a private scipy module; a scipy
     # release that moves one must fail here, by name, before any solve
