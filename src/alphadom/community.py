@@ -170,24 +170,20 @@ def _local_moves_py(rows, weights, strength: list[int], two_m: int) -> tuple[lis
 
 def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
                comm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next level: each community contracted to one vertex, with the
-    weights of the entries between two communities summed and the entries
-    inside a community dropped, since a self-loop enters the gains only
-    through the vertex strength.  Rows come out with ascending columns."""
-    k = int(comm.max()) + 1
-    owner = np.repeat(comm, np.diff(indptr))
-    other = comm[indices]
-    cross = owner != other
-    key = owner[cross] * k + other[cross]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    weight = np.ones(len(key), dtype=np.int64) if data is None else data[cross][order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    sums = np.add.reduceat(weight, first) if len(first) else weight
-    key = key[first]
-    new_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // k, minlength=k), out=new_indptr[1:])
-    return new_indptr, key % k, sums
+    """The next level: communities contracted to vertices by one product
+    Pᵀ A P, with the edges inside a community (its diagonal) dropped, since
+    a self-loop enters the gains only through the vertex strength."""
+    from scipy.sparse import csr_array
+
+    n, k = len(comm), int(comm.max()) + 1
+    if data is None:
+        data = np.ones(len(indices), dtype=np.int64)
+    a = csr_array((data, indices, indptr), shape=(n, n))
+    p = csr_array((np.ones(n, dtype=np.int64), (np.arange(n), comm)), shape=(n, k))
+    b = (p.T @ a @ p).tocoo()
+    off = b.row != b.col
+    b = csr_array((b.data[off], (b.row[off], b.col[off])), shape=(k, k))
+    return b.indptr, b.indices, b.data
 
 
 def _split_rows(indptr: np.ndarray, values: np.ndarray) -> list[list[int]]:
@@ -204,9 +200,9 @@ def louvain(g: WeightedGraph) -> Partition:
     prefer the lowest community id, so the partition depends on the graph
     alone.  It is therefore computed once per graph object and kept on the
     graph; later calls return the same :class:`Partition`.  Level 0 reads
-    the graph's own CSR rows with unit weights, and each later level is the
-    previous one contracted, with integer weights, so every gain is an
-    exact integer and no comparison depends on rounding.
+    the graph's own CSR rows with unit weights, and each later level is one
+    sparse product with integer weights, so every gain is an exact integer
+    and no comparison depends on rounding.
     """
     if g._partition is None:
         g._partition = _louvain(g)

@@ -1,6 +1,6 @@
 """Louvain's local moves in C make the moves of the Python loop at every
 level, and Louvain falls back to the Python loop when the C phase cannot be
-built or 2m is past its int64 range."""
+built (with a warning) or 2m is past its int64 range."""
 import shutil
 import subprocess
 
@@ -66,7 +66,8 @@ def test_python_phase_without_a_compiler(tmp_path, monkeypatch):
     shutil.copy(_native.SOURCE, tmp_path)
     monkeypatch.setattr(_native, "SOURCE", tmp_path / _native.SOURCE.name)
     monkeypatch.setattr(_native, "COMPILER", str(tmp_path / "no-such-compiler"))
-    assert _native.local_moves.__wrapped__() is None  # past the cache of the real build
+    with pytest.warns(RuntimeWarning, match="Louvain local moves run in Python.*no-such-compiler"):
+        assert _native.local_moves.__wrapped__() is None  # past the cache of the real build
     assert list((tmp_path / "__pycache__").iterdir()) == []  # no partial library left
 
     monkeypatch.setattr(_native, "local_moves", lambda: None)
@@ -96,6 +97,10 @@ def test_library_is_built_once_and_rebuilt_for_a_new_source(tmp_path, monkeypatc
 
     monkeypatch.setattr(_native.subprocess, "run", no_compiler)
     assert _native._library() == first  # found, not compiled again
+    with monkeypatch.context() as other_machine:  # a checkout shared with another platform
+        other_machine.setattr(_native.platform, "machine", lambda: "other-machine")
+        with pytest.raises(subprocess.CalledProcessError):
+            _native._library()
     source.write_text(source.read_text() + "\n/* edited */\n")
     with pytest.raises(subprocess.CalledProcessError):
         _native._library()
