@@ -1,16 +1,18 @@
-"""Louvain's local-move phase in C (``_localmoves.c``), built on first use.
+"""The C kernels of ``_native.c``, built on first use: Louvain's local-move
+phase (:func:`local_moves`) and the greedy fill scan (:func:`fill`).
 
-The first call of :func:`local_moves` compiles the C file with the system C
-compiler (``cc -O2 -shared -fPIC``) into this package's ``__pycache__``, under
-a name that carries a hash of the source, the compiler, the flags and the
-platform (machine, OS and Python extension suffix), so an edited source is
-rebuilt and neither a stale library nor one built for another platform on a
-shared checkout is loaded; later calls and processes load that file.  The
-compiler writes to a temporary name that is then renamed into place, so
-processes building at once do not read half a file.  Without a compiler, or
-when the build or the load fails, :func:`local_moves` warns once
-(``RuntimeWarning``, with the reason) and returns None, and
-:mod:`alphadom.community` runs the same phase in Python, several times slower.
+The first call of either compiles the C file with the system C compiler
+(``cc -O2 -shared -fPIC``) into this package's ``__pycache__``, under a name
+that carries a hash of the source, the compiler, the flags and the platform
+(machine, OS and Python extension suffix), so an edited source is rebuilt
+and neither a stale library nor one built for another platform on a shared
+checkout is loaded; later calls and processes load that file.  The compiler
+writes to a temporary name that is then renamed into place, so processes
+building at once do not read half a file.  Without a compiler, or when the
+build or the load fails, each of :func:`local_moves` and :func:`fill` warns
+once (``RuntimeWarning``, with the reason) and returns None, and
+:mod:`alphadom.community` and :mod:`alphadom.greedy` run the same loops in
+Python, several times slower.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("_localmoves.c")
+SOURCE = Path(__file__).with_name("_native.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC")
 
@@ -38,7 +40,7 @@ def _library() -> Path:
     build = [COMPILER, *FLAGS, platform.machine(), sys.platform,
              sysconfig.get_config_var("EXT_SUFFIX") or ""]
     tag = hashlib.sha256(SOURCE.read_bytes() + " ".join(build).encode()).hexdigest()[:16]
-    target = SOURCE.parent / "__pycache__" / f"_localmoves-{tag}.so"
+    target = SOURCE.parent / "__pycache__" / f"{SOURCE.stem}-{tag}.so"
     if not target.exists():
         target.parent.mkdir(exist_ok=True)
         fd, partial = tempfile.mkstemp(suffix=".so", dir=target.parent)
@@ -54,18 +56,33 @@ def _library() -> Path:
 
 
 @functools.cache
+def _load(path: Path) -> ctypes.CDLL:
+    return ctypes.CDLL(str(path))
+
+
+def _kernel(name: str, fallback: str):
+    """The library's function ``name``, or None when the library cannot be
+    built or loaded, with the warning "<fallback> could not be built or
+    loaded: <reason>"."""
+    try:
+        return getattr(_load(_library()), name)
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None) or b""
+        reason = (detail.decode(errors="replace").strip() or str(exc)).splitlines()[0]
+        warnings.warn(f"{fallback} could not be built or loaded: {reason}",
+                      RuntimeWarning, stacklevel=3)
+        return None
+
+
+@functools.cache
 def local_moves():
     """The C phase as ``run(indptr, indices, weights, strength, two_m) ->
     (community of each vertex, whether anything moved)``, or None when it
     cannot be built or loaded (with a warning that says why).  ``weights``
     is None for unit weights; the caller keeps ``two_m`` at most 2**31."""
-    try:
-        fn = ctypes.CDLL(str(_library())).alphadom_local_moves
-    except (OSError, subprocess.SubprocessError) as exc:
-        detail = getattr(exc, "stderr", None) or b""
-        reason = (detail.decode(errors="replace").strip() or str(exc)).splitlines()[0]
-        warnings.warn(f"Louvain local moves run in Python, since the C phase could not be "
-                      f"built or loaded: {reason}", RuntimeWarning, stacklevel=2)
+    fn = _kernel("alphadom_local_moves",
+                 "Louvain local moves run in Python, since the C phase")
+    if fn is None:
         return None
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
@@ -83,5 +100,38 @@ def local_moves():
         if moved < 0:
             raise MemoryError("Louvain local moves: out of memory")
         return comm.tolist(), bool(moved)
+
+    return run
+
+
+@functools.cache
+def fill():
+    """The C fill scan as ``run(indptr, indices, rank, demands, cover, in_set)
+    -> added vertices``, or None when it cannot be built or loaded (with a
+    warning that says why).  ``cover`` (int64) and ``in_set`` (uint8) are
+    updated in place."""
+    fn = _kernel("alphadom_fill", "The greedy fill scan runs in Python, since the C scan")
+    if fn is None:
+        return None
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 7]
+
+    def run(indptr, indices, rank, demands, cover: np.ndarray,
+            in_set: np.ndarray) -> np.ndarray:
+        indptr, indices, rank, demands = (np.ascontiguousarray(a, dtype=np.int64)
+                                          for a in (indptr, indices, rank, demands))
+        n = len(rank)
+        if len(indptr) != n + 1 or len(demands) != n or not all(
+                a.dtype == dtype and len(a) == n and a.flags.c_contiguous and a.flags.writeable
+                for a, dtype in ((cover, np.int64), (in_set, np.uint8))):
+            raise ValueError("the fill scan takes n + 1 row offsets, n ranks and demands, and "
+                             "updates n int64 counts and n uint8 flags in place")
+        added = np.empty(n, dtype=np.int64)
+        count = fn(n, indptr.ctypes.data, indices.ctypes.data, rank.ctypes.data,
+                   demands.ctypes.data, cover.ctypes.data, in_set.ctypes.data,
+                   added.ctypes.data)
+        if count < 0:
+            raise MemoryError("greedy fill scan: out of memory")
+        return added[:count]
 
     return run

@@ -85,7 +85,7 @@ class WeightedGraph:
 
     __slots__ = ("n", "indptr", "indices", "weights", "labels", "_adjacency",
                  "_lists", "_label_index", "_weight_array", "_closed", "_partition",
-                 "_ranks")
+                 "_ranks", "_rank_arrays")
 
     def __init__(self, adjacency: Sequence[Sequence[int]],
                  weights: Sequence[int],
@@ -156,6 +156,7 @@ class WeightedGraph:
         self._closed: tuple[np.ndarray, np.ndarray] | None = None
         self._partition = None  # set by community.louvain on its first call
         self._ranks: dict = {}  # strategy -> greedy.rank_order, filled on first use
+        self._rank_arrays: dict = {}  # strategy -> the same ranks as an int64 array
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,

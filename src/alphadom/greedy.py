@@ -7,6 +7,8 @@ mathematically equal, and ties always fall back to the vertex index.
 computes it for all vertices at once.  One scan, :func:`_fill`, then tops a
 set up to feasibility in that order: from the empty set for the greedy
 strategies, and from a rounded set for :func:`alphadom.rounding.repair`.
+The scan runs in C (:mod:`alphadom._native`) when that can be built, and
+in Python (:func:`_fill_py`) otherwise, with the same picks.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import DominatingSet, DominationInstance, WeightedGraph
+from . import _native
+from .graph import DominatingSet, DominationInstance, WeightedGraph, _frozen
 
 
 class Strategy(Enum):
@@ -108,11 +111,20 @@ def rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
     """
     ranks = g._ranks.get(strategy)
     if ranks is None:
-        ranks = g._ranks[strategy] = _rank_order(strategy, g)
+        ranks = g._ranks[strategy] = _rank_array(strategy, g).tolist()
     return ranks
 
 
-def _rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
+def _rank_array(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
+    """The ranks of :func:`rank_order` as a read-only int64 array, kept on
+    the graph likewise."""
+    ranks = g._rank_arrays.get(strategy)
+    if ranks is None:
+        ranks = g._rank_arrays[strategy] = _frozen(_rank_order(strategy, g))
+    return ranks
+
+
+def _rank_order(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
     """The ranks of :func:`rank_order`, computed.
 
     Ratios are first sorted by their correctly rounded floats, with the
@@ -125,7 +137,7 @@ def _rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
     otherwise the ratios are Python ints.
     """
     if g.n == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
     exact = _int64_ratios(strategy, g)
     if exact is not None:
         nums, dens = exact
@@ -150,28 +162,48 @@ def _rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
             order[lo:hi] = sorted(order[lo:hi], key=lambda v: sort_key(strategy, g, v))
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
-    return rank.tolist()
+    return rank
 
 
-def _fill(inst: DominationInstance, rank: list[int], start: DominatingSet,
-          cover: list[int]) -> DominatingSet:
+def _fill(inst: DominationInstance, strategy: Strategy, start: DominatingSet,
+          cover: np.ndarray) -> DominatingSet:
     """``start`` topped up to a feasible set by one ascending scan.
 
-    ``cover`` is the closed-neighbourhood coverage of ``start``, updated in
-    place.  For each vertex v still short of its demand, the missing count
-    is filled with the non-members of N[v] that come first in ``rank``.
-    Coverage only ever grows, so one scan settles every vertex.  ``start``
-    is not modified.
+    ``cover`` is the closed-neighbourhood coverage of ``start`` as an int64
+    array, updated in place.  For each vertex v still short of its demand,
+    the missing count is filled with the non-members of N[v] that come first
+    in the order of :func:`rank_order`.  Coverage only ever grows, so one
+    scan settles every vertex.  ``start`` is not modified.  The scan reads
+    no weights; only the weight of the result is summed in Python ints.
     """
+    g = inst.graph
+    native = _native.fill()
+    if native is None:
+        added = _fill_py(inst, rank_order(strategy, g), start.members, cover)
+    else:
+        in_set = np.zeros(g.n, dtype=np.uint8)
+        in_set[np.fromiter(start.members, dtype=np.int64, count=len(start.members))] = 1
+        added = native(g.indptr, g.indices, _rank_array(strategy, g), inst.demand_array(),
+                       cover, in_set).tolist()
+    weight = start.total_weight + sum(map(g.weights.__getitem__, added))
+    return DominatingSet(start.members | set(added), weight)
+
+
+def _fill_py(inst: DominationInstance, rank: list[int], members,
+             cover: np.ndarray) -> list[int]:
+    """The scan of :func:`_fill` as a Python loop: the fallback without a C
+    compiler and the reference for the C scan.  Returns the added vertices
+    in the order they were taken."""
     g = inst.graph
     bounds, flat = g.csr_lists()
     in_set = bytearray(g.n)
-    for v in start.members:
+    for v in members:
         in_set[v] = 1
+    counts = cover.tolist()
     added: list[int] = []
 
     for v, demand in enumerate(inst.demands):
-        need = demand - cover[v]
+        need = demand - counts[v]
         if need <= 0:
             continue
         candidates = [u for u in flat[bounds[v]:bounds[v + 1]] if not in_set[u]]
@@ -181,12 +213,12 @@ def _fill(inst: DominationInstance, rank: list[int], start: DominatingSet,
         for u in candidates[:need]:
             in_set[u] = 1
             added.append(u)
-            cover[u] += 1
+            counts[u] += 1
             for t in flat[bounds[u]:bounds[u + 1]]:
-                cover[t] += 1
+                counts[t] += 1
 
-    weight = start.total_weight + sum(map(g.weights.__getitem__, added))
-    return DominatingSet(start.members | set(added), weight)
+    cover[:] = counts
+    return added
 
 
 def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingSet:
@@ -198,5 +230,5 @@ def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingS
     one ascending scan (:func:`_fill`, from the empty set) settles every
     vertex; the result is always feasible.
     """
-    g = inst.graph
-    return _fill(inst, rank_order(strategy, g), DominatingSet.empty(), [0] * g.n)
+    return _fill(inst, strategy, DominatingSet.empty(),
+                 np.zeros(inst.graph.n, dtype=np.int64))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import (DominatingSet, DominationInstance, WeightedGraph,
                     coverage_counts, is_feasible)
-from .greedy import Strategy, _fill, rank_order
+from .greedy import Strategy, _fill
 from .lp import FractionalSolution, build_lp, solve_lp
 
 
@@ -60,9 +60,7 @@ def repair(inst: DominationInstance, candidate: DominatingSet) -> DominatingSet:
     closed neighborhood (ties to the lower index).  The input set is not
     modified.
     """
-    g = inst.graph
-    cover = coverage_counts(g, candidate).tolist()
-    return _fill(inst, rank_order(Strategy.S1, g), candidate, cover)
+    return _fill(inst, Strategy.S1, candidate, coverage_counts(inst.graph, candidate))
 
 
 def randomized_rounding(inst: DominationInstance, seed: int,

@@ -11,7 +11,7 @@ from alphadom import (DominatingSet, DominationInstance, Strategy, WeightedGraph
                       gen_planted_partition, gen_powerlaw_cluster, greedy_dominate,
                       ingest_graph, is_feasible, repair, sort_key,
                       write_edge_list, write_weight_table)
-from alphadom import greedy
+from alphadom import _native, greedy
 from alphadom.greedy import _int64_ratios, rank_order
 
 from .strategies import instances, weighted_graphs
@@ -181,8 +181,7 @@ def greedy_by_sort_key(inst, strategy):
     return DominatingSet.from_members(g, members)
 
 
-@pytest.mark.parametrize("family", ["er", "planted", "hubs"])
-def test_greedy_matches_sort_key_reference(family):
+def assert_greedy_matches_sort_key_reference(family):
     graph = {
         "er": lambda: gen_gnm(5000, 25_000, 11),
         "planted": lambda: gen_planted_partition(50, 100, 0.1, 0.0005, 12),
@@ -198,6 +197,17 @@ def test_greedy_matches_sort_key_reference(family):
             assert got.total_weight == expected.total_weight
 
 
+@pytest.mark.parametrize("family", ["er", "planted", "hubs"])
+def test_greedy_matches_sort_key_reference(family):
+    assert_greedy_matches_sort_key_reference(family)
+
+
+@pytest.mark.parametrize("family", ["er", "planted", "hubs"])
+def test_python_fill_matches_sort_key_reference(family, monkeypatch):
+    monkeypatch.setattr(_native, "fill", lambda: None)
+    assert_greedy_matches_sort_key_reference(family)
+
+
 def test_load_and_greedy_leave_the_rows_unbuilt(tmp_path):
     g = assign_weights(gen_powerlaw_cluster(300, 2, 0.1, 5), WeightSpec(1, 71), 6)
     write_edge_list(g, tmp_path / "g.edges")
@@ -207,6 +217,8 @@ def test_load_and_greedy_leave_the_rows_unbuilt(tmp_path):
     for s in Strategy:
         assert is_feasible(inst, greedy_dominate(inst, s))
     assert loaded._adjacency is None
+    if _native.fill() is not None:
+        assert loaded._lists is None  # the C scan reads the CSR arrays themselves
 
 
 def test_ranks_kept_per_graph_and_strategy(monkeypatch):
