@@ -1,5 +1,5 @@
-/* The native kernels of alphadom, in C: Louvain's local-move phase and the
-   greedy fill scan.
+/* The native kernels of alphadom, in C: Louvain's local-move phase, the
+   greedy fill scan, and the parser of edge lists and weight tables.
 
    alphadom._native builds this file with the system C compiler on first use
    and calls it through ctypes; each kernel has a Python twin that is both
@@ -8,6 +8,7 @@
    neighbours of a vertex other than itself. */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* One local-move phase of Louvain over one level; the Python twin is
    alphadom.community._local_moves_py.  Vertices are scanned in ascending
@@ -131,4 +132,268 @@ int64_t alphadom_fill(int64_t n, const int64_t *indptr, const int64_t *indices,
     free(vertex);
     free(candidates);
     return count;
+}
+
+/* What alphadom_ingest returns: 0 when it parsed both files; a decline code
+   when a file holds something it leaves to the Python line scanners, which
+   either read it or report its first wrong line; or an error. */
+enum {
+    INGEST_OK = 0,
+    DECLINE_BYTE = 1,       /* a byte >= 0x7f, or a control byte other than \t \n \r */
+    DECLINE_TOKENS = 2,     /* a non-blank line without exactly two tokens */
+    DECLINE_WEIGHT = 3,     /* a weight that is not [1-9][0-9]{0,17} */
+    DECLINE_DUPLICATE = 4,  /* a label listed twice in the weight table */
+    DECLINE_SELF_LOOP = 5,
+    DECLINE_MISSING = 6,    /* an endpoint that the weight table does not list */
+    INGEST_NO_MEMORY = -1,
+    INGEST_NO_ROOM = -2     /* more vertices or edges than the caller made room for */
+};
+
+typedef struct {
+    const unsigned char *text;
+    int64_t len;
+    uint64_t hash;
+    uint64_t head;  /* the first 8 bytes, zero-padded */
+} token_t;
+
+/* The tokens of the line at *pos, which then moves past its end.  A line
+   ends at \n, \r\n or a lone \r, as text-mode reading translates them, and
+   its tokens are runs of the bytes 0x21..0x7e between spaces and tabs; any
+   other byte declines, so only text on which Python's str.split() draws the
+   same tokens is read here.  Returns 0 or 2 (the token count), or minus a
+   decline code. */
+static int scan_line(const unsigned char *s, int64_t size, int64_t *pos, token_t *tok)
+{
+    int64_t i = *pos;
+    int count = 0;
+
+    while (i < size) {
+        unsigned char c = s[i];
+        if (c == ' ' || c == '\t') {
+            i++;
+        } else if (c == '\n' || c == '\r') {
+            i += (c == '\r' && i + 1 < size && s[i + 1] == '\n') ? 2 : 1;
+            break;
+        } else if (c < 0x21 || c > 0x7e) {
+            return -DECLINE_BYTE;
+        } else {
+            if (count == 2)
+                return -DECLINE_TOKENS;
+            uint64_t h = 0xcbf29ce484222325u;  /* FNV-1a */
+            int64_t start = i;
+            for (; i < size && s[i] > 0x20 && s[i] < 0x7f; i++)
+                h = (h ^ s[i]) * 0x100000001b3u;
+            h ^= h >> 29;  /* spread the last bytes into the bits the table indexes by */
+            h *= 0xbf58476d1ce4e5b9u;
+            h ^= h >> 32;
+            token_t *t = &tok[count++];
+            *t = (token_t){s + start, i - start, h, 0};
+            memcpy(&t->head, t->text, (size_t)(t->len < 8 ? t->len : 8));
+        }
+    }
+    *pos = i;
+    return count == 1 ? -DECLINE_TOKENS : count;
+}
+
+/* A slot of the label hash: the top 24 bits of the label's hash and the
+   vertex index + 1 in the low 40 bits, or 0 when empty, beside the label's
+   first 8 bytes.  Labels hold no zero byte, so the zero-padded heads of two
+   labels shorter than 8 bytes are equal only when the labels are: a short
+   label is then matched without reading it. */
+typedef struct {
+    uint64_t key;
+    uint64_t head;
+} slot_t;
+
+/* The vertices parsed so far, with an open-addressing hash of their labels,
+   which are byte spans of text. */
+typedef struct {
+    slot_t *slots;
+    uint64_t mask;  /* capacity - 1; the capacity is a power of two */
+    const unsigned char *text;
+    int64_t n, max_vertices;
+    int64_t *offset, *length, *weight;
+    uint64_t *hash;  /* of every vertex, to rehash when growing */
+} vertices_t;
+
+#define VERTEX_BITS 40
+#define VERTEX_MASK ((UINT64_C(1) << VERTEX_BITS) - 1)
+#define TAG(hash) ((hash) >> VERTEX_BITS << VERTEX_BITS)
+
+/* The slot that holds tok's label, or the empty slot where it goes. */
+static slot_t *find_slot(const vertices_t *t, const token_t *tok)
+{
+    for (uint64_t i = tok->hash & t->mask;; i = (i + 1) & t->mask) {
+        slot_t *slot = &t->slots[i];
+        if (slot->key == 0)
+            return slot;
+        if ((slot->key & ~VERTEX_MASK) != TAG(tok->hash) || slot->head != tok->head)
+            continue;
+        int64_t v = (int64_t)(slot->key & VERTEX_MASK) - 1;
+        if (tok->len < 8 || (t->length[v] == tok->len
+                             && memcmp(t->text + t->offset[v], tok->text, (size_t)tok->len) == 0))
+            return slot;
+    }
+}
+
+/* Adds tok's label, which is not there yet and goes into the empty slot,
+   as a new vertex of weight w.  Returns its index, or an error. */
+static int64_t add_vertex(vertices_t *t, slot_t *slot, const token_t *tok, int64_t w)
+{
+    int64_t v = t->n;
+    if (v == t->max_vertices)
+        return INGEST_NO_ROOM;
+    t->offset[v] = tok->text - t->text;
+    t->length[v] = tok->len;
+    t->weight[v] = w;
+    t->hash[v] = tok->hash;
+    *slot = (slot_t){TAG(tok->hash) | (uint64_t)(v + 1), tok->head};
+    t->n++;
+    if ((uint64_t)t->n * 2 > t->mask) {  /* keep the load at most one half */
+        uint64_t mask = t->mask * 2 + 1;
+        slot_t *slots = calloc(mask + 1, sizeof *slots);
+        if (slots == NULL)
+            return INGEST_NO_MEMORY;
+        for (uint64_t j = 0; j <= t->mask; j++) {
+            if (t->slots[j].key == 0)
+                continue;
+            uint64_t i = t->hash[(t->slots[j].key & VERTEX_MASK) - 1] & mask;
+            while (slots[i].key != 0)
+                i = (i + 1) & mask;
+            slots[i] = t->slots[j];
+        }
+        free(t->slots);
+        t->slots = slots;
+        t->mask = mask;
+    }
+    return v;
+}
+
+/* The weight spelt by tok, or -1 unless it is [1-9][0-9]{0,17}, which is
+   always below 2^63. */
+static int64_t parse_weight(const token_t *tok)
+{
+    int64_t w = 0;
+    if (tok->len > 18 || tok->text[0] == '0')
+        return -1;
+    for (int64_t i = 0; i < tok->len; i++) {
+        if (tok->text[i] < '0' || tok->text[i] > '9')
+            return -1;
+        w = w * 10 + (tok->text[i] - '0');
+    }
+    return w;
+}
+
+#define BATCH 64  /* lines whose slots are fetched from memory at once */
+
+/* Up to BATCH non-blank lines from *pos on, two tokens each into tok, with
+   the first slot each token probes prefetched: on a table past the cache,
+   the lookups then wait for memory together, not one after another.
+   Returns the line count, or minus a decline code. */
+static int read_batch(const vertices_t *t, const unsigned char *s, int64_t size,
+                      int64_t *pos, token_t *tok)
+{
+    int lines = 0;
+    while (lines < BATCH && *pos < size) {
+        int count = scan_line(s, size, pos, &tok[2 * lines]);
+        if (count < 0)
+            return count;
+        if (count == 0)
+            continue;
+        __builtin_prefetch(&t->slots[tok[2 * lines].hash & t->mask]);
+        __builtin_prefetch(&t->slots[tok[2 * lines + 1].hash & t->mask]);
+        lines++;
+    }
+    return lines;
+}
+
+static int64_t parse(vertices_t *t, const char *table, int64_t table_size,
+                     const unsigned char *edges, int64_t edge_size, int64_t max_edges,
+                     int64_t *ends, int64_t *m)
+{
+    token_t tok[2 * BATCH];
+    int lines;
+
+    for (int64_t pos = 0; table != NULL && pos < table_size;) {
+        if ((lines = read_batch(t, t->text, table_size, &pos, tok)) < 0)
+            return -lines;
+        for (const token_t *line = tok; line < tok + 2 * lines; line += 2) {
+            int64_t w = parse_weight(&line[1]);
+            if (w < 0)
+                return DECLINE_WEIGHT;
+            slot_t *slot = find_slot(t, &line[0]);
+            if (slot->key != 0)
+                return DECLINE_DUPLICATE;
+            int64_t v = add_vertex(t, slot, &line[0], w);
+            if (v < 0)
+                return v;
+        }
+    }
+    for (int64_t pos = 0; pos < edge_size;) {
+        if ((lines = read_batch(t, edges, edge_size, &pos, tok)) < 0)
+            return -lines;
+        for (const token_t *line = tok; line < tok + 2 * lines; line += 2) {
+            if (line[0].hash == line[1].hash && line[0].len == line[1].len
+                    && memcmp(line[0].text, line[1].text, (size_t)line[0].len) == 0)
+                return DECLINE_SELF_LOOP;
+            if (*m == max_edges)
+                return INGEST_NO_ROOM;
+            for (int k = 0; k < 2; k++) {
+                slot_t *slot = find_slot(t, &line[k]);
+                int64_t v = (int64_t)(slot->key & VERTEX_MASK) - 1;
+                if (slot->key == 0 && table != NULL)
+                    return DECLINE_MISSING;
+                if (slot->key == 0 && (v = add_vertex(t, slot, &line[k], 1)) < 0)
+                    return v;
+                ends[2 * *m + k] = v;
+            }
+            ++*m;
+        }
+    }
+    return INGEST_OK;
+}
+
+/* Parses an edge list and, unless table is NULL, a weight table; the Python
+   twins are alphadom.io._scan_weight_table and alphadom.io._scan_edges,
+   which also report the first wrong line where this declines.
+
+   With a table, the vertices are its labels in table order, and an edge
+   endpoint it does not list declines.  Without one, they are the edge
+   list's labels in order of first appearance, each of weight 1.  Vertex v's
+   label is the span of length[v] bytes at offset[v] of the table, or of
+   the edge list when there is no table, and its weight is weight[v].  ends
+   receives the two endpoints of every edge line in file order, repeats
+   included.  counts receives the vertex and edge counts.  The caller makes
+   room for max_vertices vertices and max_edges edges.  Returns INGEST_OK, a
+   decline code, or an error. */
+int64_t alphadom_ingest(const char *table, int64_t table_size, const char *edges,
+                        int64_t edge_size, int64_t max_vertices, int64_t max_edges,
+                        int64_t *offset, int64_t *length, int64_t *weight, int64_t *ends,
+                        int64_t *counts)
+{
+    const char *text = table != NULL ? table : edges;
+    int64_t size = table != NULL ? table_size : edge_size, lines = 1;
+    uint64_t capacity = 1024;
+
+    /* sized for one label per line of the text the labels come from, so a
+       weight table never grows it */
+    for (int64_t i = 0; i < size; i++)
+        lines += text[i] == '\n' || text[i] == '\r';
+    while (capacity < (uint64_t)lines * 2 && capacity <= VERTEX_MASK)
+        capacity *= 2;
+    vertices_t t = {calloc(capacity, sizeof(slot_t)), capacity - 1,
+                    (const unsigned char *)text, 0, max_vertices, offset, length, weight,
+                    malloc((size_t)(max_vertices > 0 ? max_vertices : 1) * sizeof(uint64_t))};
+    int64_t m = 0, status = INGEST_NO_MEMORY;
+
+    if (max_vertices >= (int64_t)VERTEX_MASK)
+        status = INGEST_NO_ROOM;
+    else if (t.slots != NULL && t.hash != NULL)
+        status = parse(&t, table, table_size, (const unsigned char *)edges, edge_size,
+                       max_edges, ends, &m);
+    counts[0] = t.n;
+    counts[1] = m;
+    free(t.slots);
+    free(t.hash);
+    return status;
 }

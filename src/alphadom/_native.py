@@ -1,7 +1,8 @@
 """The C kernels of ``_native.c``, built on first use: Louvain's local-move
-phase (:func:`local_moves`) and the greedy fill scan (:func:`fill`).
+phase (:func:`local_moves`), the greedy fill scan (:func:`fill`), and the
+parser of edge lists and weight tables (:func:`ingest`).
 
-The first call of either compiles the C file with the system C compiler
+The first call of any of them compiles the C file with the system C compiler
 (``cc -O2 -shared -fPIC``) into this package's ``__pycache__``, under a name
 that carries a hash of the source, the compiler, the flags and the platform
 (machine, OS and Python extension suffix), so an edited source is rebuilt
@@ -9,10 +10,10 @@ and neither a stale library nor one built for another platform on a shared
 checkout is loaded; later calls and processes load that file.  The compiler
 writes to a temporary name that is then renamed into place, so processes
 building at once do not read half a file.  Without a compiler, or when the
-build or the load fails, each of :func:`local_moves` and :func:`fill` warns
-once (``RuntimeWarning``, with the reason) and returns None, and
-:mod:`alphadom.community` and :mod:`alphadom.greedy` run the same loops in
-Python, several times slower.
+build or the load fails, each of :func:`local_moves`, :func:`fill` and
+:func:`ingest` warns once (``RuntimeWarning``, with the reason) and returns
+None, and :mod:`alphadom.community`, :mod:`alphadom.greedy` and
+:mod:`alphadom.io` run the same work in Python, several times slower.
 """
 from __future__ import annotations
 
@@ -135,3 +136,57 @@ def fill():
         return added[:count]
 
     return run
+
+
+@functools.cache
+def ingest():
+    """The C parse of a weight table and an edge list as ``run(table, edges)
+    -> (labels, weights, ends)``, or None when it cannot be built or loaded
+    (with a warning that says why).
+
+    ``table`` (or None) and ``edges`` are the files' bytes.  ``labels`` are
+    the vertex labels as str, in table order or else in order of first
+    appearance; ``weights`` is an int64 array; ``ends`` holds the (m, 2)
+    endpoints of the edge lines in file order.  ``run`` returns None when
+    the kernel declines the input (see ``alphadom_ingest``), which is then
+    left to the Python scanners of :mod:`alphadom.io`.
+    """
+    fn = _kernel("alphadom_ingest",
+                 "Edge lists and weight tables are parsed in Python, since the C parser")
+    if fn is None:
+        return None
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
+                   ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 5]
+
+    def run(table: bytes | None, edges: bytes):
+        text = edges if table is None else table
+        # a token and the byte after it take two bytes or more, an edge line four
+        max_vertices, max_edges = (len(text) + 1) // 2, (len(edges) + 1) // 4
+        offset, length, weight = (np.empty(max_vertices, dtype=np.int64) for _ in range(3))
+        ends = np.empty((max_edges, 2), dtype=np.int64)
+        counts = np.zeros(2, dtype=np.int64)
+        status = fn(table, len(table or b""), edges, len(edges), max_vertices, max_edges,
+                    offset.ctypes.data, length.ctypes.data, weight.ctypes.data,
+                    ends.ctypes.data, counts.ctypes.data)
+        if status == -1:
+            raise MemoryError("ingest parser: out of memory")
+        if status < 0:
+            raise RuntimeError("ingest parser: more vertices or edges than there was room for")
+        if status > 0:
+            return None
+        n, m = counts.tolist()
+        return _labels(text, offset[:n], length[:n]), weight[:n], ends[:m]
+
+    return run
+
+
+def _labels(text: bytes, offset: np.ndarray, length: np.ndarray) -> list[str]:
+    """The ASCII labels at these byte spans of ``text``.  The byte after
+    each label is whitespace, or the end of the text, so the spans are
+    gathered with that byte and split apart again."""
+    span = length + 1
+    starts = np.cumsum(span) - span  # where each label begins in the gathered bytes
+    source = np.arange(int(span.sum())) + np.repeat(offset - starts, span)
+    padded = np.frombuffer(text + b" ", dtype=np.uint8)
+    return padded[source].tobytes().decode("ascii").split()

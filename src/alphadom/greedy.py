@@ -174,19 +174,34 @@ def _fill(inst: DominationInstance, strategy: Strategy, start: DominatingSet,
     the missing count is filled with the non-members of N[v] that come first
     in the order of :func:`rank_order`.  Coverage only ever grows, so one
     scan settles every vertex.  ``start`` is not modified.  The scan reads
-    no weights; only the weight of the result is summed in Python ints.
+    no weights; only the weight of the result is summed, by
+    :func:`_weight_of`.
     """
     g = inst.graph
     native = _native.fill()
     if native is None:
-        added = _fill_py(inst, rank_order(strategy, g), start.members, cover)
+        added = np.array(_fill_py(inst, rank_order(strategy, g), start.members, cover),
+                         dtype=np.int64)
     else:
         in_set = np.zeros(g.n, dtype=np.uint8)
         in_set[np.fromiter(start.members, dtype=np.int64, count=len(start.members))] = 1
         added = native(g.indptr, g.indices, _rank_array(strategy, g), inst.demand_array(),
-                       cover, in_set).tolist()
-    weight = start.total_weight + sum(map(g.weights.__getitem__, added))
-    return DominatingSet(start.members | set(added), weight)
+                       cover, in_set)
+    return DominatingSet(start.members.union(added.tolist()),
+                         start.total_weight + _weight_of(g, added))
+
+
+def _weight_of(g: WeightedGraph, vertices: np.ndarray) -> int:
+    """Total weight of distinct vertices: an int64 sum when the largest
+    weight times n is below 2**63, so that no such sum can wrap, and a
+    Python-int sum otherwise."""
+    try:
+        w = g.weight_array()
+    except ValueError:  # a weight past int64
+        w = None
+    if w is not None and int(w.max(initial=0)) * g.n < _INT64_LIMIT:
+        return int(w[vertices].sum())
+    return sum(map(g.weights.__getitem__, vertices.tolist()))
 
 
 def _fill_py(inst: DominationInstance, rank: list[int], members,

@@ -7,16 +7,24 @@ index order: vertices listed only there become isolated vertices, and an edge
 endpoint missing from the table is an error, never a silent default.  Without
 a weight table, vertices are the edge-list labels in order of first
 appearance and all weights are 1.
+
+Files are UTF-8, with the line ends of a text-mode read (``\\n``, ``\\r\\n``
+or a lone ``\\r``); a byte that is not UTF-8 is an :class:`IngestError` at
+its line.  :func:`ingest_graph` reads both files as bytes and parses them
+with the C kernel of :func:`alphadom._native.ingest`, which reads only
+printable ASCII tokens between spaces and tabs and declines anything else,
+and every wrong line.  The line scanners (:func:`_scan_weight_table`,
+:func:`_scan_edges`) then read the files: they define the formats (tokens
+as ``str.split`` draws them, weights as ``int`` reads them), report the
+first wrong line, and are the whole path when no C compiler is available.
 """
 from __future__ import annotations
 
 import json
-import operator
 from itertools import count
 from pathlib import Path
 
-import numpy as np
-
+from . import _native
 from .graph import DominatingSet, WeightedGraph
 
 
@@ -30,98 +38,69 @@ class IngestError(ValueError):
         self.lineno = lineno
 
 
-def _pair_tokens(path) -> list[str] | None:
-    """The file's tokens in order when every non-blank line holds two, else
-    None; also None when the file is not UTF-8, so that a line scan raises
-    where the line-by-line reader would."""
+def _lines(path, data: bytes):
+    """(line number, line) of the file's bytes decoded as UTF-8, with the
+    line ends of a text-mode read (\\n, \\r\\n or a lone \\r).  When a byte
+    is not UTF-8, the lines before its line come first and the
+    :class:`IngestError` for its line is then raised, so a scanner reports
+    whichever wrong line comes first."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    # the per-line lists die at once, so they never trigger the cyclic GC
-    if not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
-        return None
-    return text.split()
+        text, error = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        error = IngestError(path, lineno, f"byte {data[exc.start]:#04x} is not UTF-8")
+        text = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
+    yield from enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
+    if error is not None:
+        raise error
 
 
-def _bulk_weight_table(path) -> tuple[list[str], list[int]] | None:
-    """The table parsed in bulk, or None when any line is wrong."""
-    tokens = _pair_tokens(path)
-    if tokens is None:
-        return None
-    labels = tokens[0::2]
-    try:
-        weights = list(map(int, tokens[1::2]))
-    except ValueError:
-        return None
-    if min(weights, default=1) < 1 or len(set(labels)) < len(labels):
-        return None
-    return labels, weights
-
-
-def _scan_weight_table(path) -> tuple[list[str], list[int]]:
+def _scan_weight_table(path, data: bytes) -> tuple[list[str], list[int]]:
     """Line-by-line reader: raises on the first wrong line of the file."""
     labels: list[str] = []
     weights: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise IngestError(path, lineno, f"expected 'label weight', got {line!r}")
-            label, text = parts
-            try:
-                w = int(text)
-            except ValueError:
-                raise IngestError(path, lineno, f"weight {text!r} is not an integer") from None
-            if w < 1:
-                raise IngestError(path, lineno, f"non-positive weight {w} for {label!r}")
-            if label in weights:
-                raise IngestError(path, lineno, f"duplicate weight entry for {label!r}")
-            labels.append(label)
-            weights[label] = w
+    for lineno, raw in _lines(path, data):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise IngestError(path, lineno, f"expected 'label weight', got {line!r}")
+        label, text = parts
+        try:
+            w = int(text)
+        except ValueError:
+            raise IngestError(path, lineno, f"weight {text!r} is not an integer") from None
+        if w < 1:
+            raise IngestError(path, lineno, f"non-positive weight {w} for {label!r}")
+        if label in weights:
+            raise IngestError(path, lineno, f"duplicate weight entry for {label!r}")
+        labels.append(label)
+        weights[label] = w
     return labels, list(weights.values())
 
 
-def _bulk_edges(path, table: dict[str, int] | None):
-    """(label index, (m, 2) endpoint array) parsed in bulk, or None when any
-    line is wrong."""
-    tokens = _pair_tokens(path)
-    if tokens is None or any(map(operator.eq, tokens[0::2], tokens[1::2])):
-        return None
-    # without a table, vertices are numbered in order of first appearance
-    index = table if table is not None else dict(zip(dict.fromkeys(tokens), count()))
-    try:
-        ends = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    except KeyError:
-        return None
-    return index, ends.reshape(-1, 2)
-
-
-def _scan_edges(path, table: dict[str, int] | None):
+def _scan_edges(path, data: bytes, table: dict[str, int] | None):
     """Line-by-line reader: raises on the first wrong line of the file."""
     index = table if table is not None else {}
     ends: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise IngestError(path, lineno, f"expected 'label label', got {line!r}")
-            a, b = parts
-            if a == b:
-                raise IngestError(path, lineno, f"self-loop at {a!r}")
-            for s in (a, b):
-                if s not in index:
-                    if table is not None:
-                        raise IngestError(path, lineno, f"label {s!r} has no weight entry")
-                    index[s] = len(index)
-            ends.append((index[a], index[b]))
+    for lineno, raw in _lines(path, data):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise IngestError(path, lineno, f"expected 'label label', got {line!r}")
+        a, b = parts
+        if a == b:
+            raise IngestError(path, lineno, f"self-loop at {a!r}")
+        for s in (a, b):
+            if s not in index:
+                if table is not None:
+                    raise IngestError(path, lineno, f"label {s!r} has no weight entry")
+                index[s] = len(index)
+        ends.append((index[a], index[b]))
     return index, ends
 
 
@@ -129,16 +108,21 @@ def ingest_graph(edge_path, weight_path=None) -> WeightedGraph:
     """Build a weighted graph from an edge list and an optional weight table.
 
     Duplicate edge lines collapse to one edge; self-loops and malformed lines
-    abort with the offending line number.  Each file is read and split in
-    bulk; only when that finds a wrong line is it scanned line by line, so
-    the first wrong line of the file is the one reported.
+    abort with the offending line number.  The C kernel parses the files;
+    the line scanners read them when it declines or cannot be built.
     """
-    if weight_path is not None:
-        labels, weights = _bulk_weight_table(weight_path) or _scan_weight_table(weight_path)
+    table_data = Path(weight_path).read_bytes() if weight_path is not None else None
+    edge_data = Path(edge_path).read_bytes()
+    native = _native.ingest()
+    parsed = native(table_data, edge_data) if native is not None else None
+    if parsed is not None:
+        labels, weights, ends = parsed
+        return WeightedGraph.from_edges(len(labels), ends, weights.tolist(), labels)
+    table = None
+    if table_data is not None:
+        labels, weights = _scan_weight_table(weight_path, table_data)
         table = dict(zip(labels, count()))
-    else:
-        table = None
-    index, ends = _bulk_edges(edge_path, table) or _scan_edges(edge_path, table)
+    index, ends = _scan_edges(edge_path, edge_data, table)
     if table is None:
         labels, weights = list(index), [1] * len(index)
     return WeightedGraph.from_edges(len(labels), ends, weights, labels)
@@ -201,13 +185,12 @@ def write_solution(g: WeightedGraph, solution: DominatingSet, path) -> None:
 
 def read_solution(g: WeightedGraph, path) -> DominatingSet:
     members = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            label = raw.strip()
-            if not label:
-                continue
-            try:
-                members.append(g.index_of(label))
-            except KeyError:
-                raise IngestError(path, lineno, f"unknown vertex label {label!r}") from None
+    for lineno, raw in _lines(path, Path(path).read_bytes()):
+        label = raw.strip()
+        if not label:
+            continue
+        try:
+            members.append(g.index_of(label))
+        except KeyError:
+            raise IngestError(path, lineno, f"unknown vertex label {label!r}") from None
     return DominatingSet.from_members(g, members)

@@ -394,6 +394,31 @@ class TestErrors:
         assert code == 1 and len(err.splitlines()) == 1
         assert "vertex a" in err and "18446744073709551617" in err and "int64" in err
 
+    @pytest.mark.parametrize("command, bad", [
+        ("solve", "g.edges"), ("solve", "g.weights"), ("verify", "g.edges"),
+        ("verify", "g.weights"), ("verify", "sol.txt"), ("bench", "g.edges"),
+        ("bench", "g.weights"),
+    ])
+    def test_file_that_is_not_utf8_exit_code(self, small_graph_files, capsys, command, bad):
+        d = small_graph_files
+        labels = [line.split()[0] for line in (d / "g.weights").read_text().splitlines()]
+        (d / "sol.txt").write_text("\n".join(labels) + "\n")
+        # line 3 gets the byte, after a \r\n and a lone \r line end
+        lines = (d / bad).read_bytes().split(b"\n")
+        (d / bad).write_bytes(lines[0] + b"\r\n" + lines[1] + b"\r\xff" + b"\n".join(lines[2:]))
+        files = ["--edges", str(d / "g.edges"), "--weights", str(d / "g.weights")]
+        if command == "bench":
+            source = {"kind": "file", "label": "mine", "edges": files[1], "weight_table": files[3]}
+            (d / "cfg.json").write_text(json.dumps({"alphas": ["1/2"], "algorithms": ["greedy-s1"],
+                                                    "sources": [source]}))
+            argv = ["bench", "--config", str(d / "cfg.json"), "--out", str(d / "x")]
+        elif command == "solve":
+            argv = ["solve", *files, "--alpha", "1/2", "--algo", "greedy-s1"]
+        else:
+            argv = ["verify", *files, "--alpha", "1/2", "--solution", str(d / "sol.txt")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err == f"{d / bad}:3: byte 0xff is not UTF-8\n"
+
     def test_ingest_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "g.edges").write_text("a a\n")
         code, _, err = run(capsys, "solve", "--edges", str(tmp_path / "g.edges"),

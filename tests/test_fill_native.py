@@ -33,7 +33,7 @@ def assert_same_fill(inst, strategy, start):
             results.append((greedy._fill(inst, strategy, start, cover), cover))
     (c_set, c_cover), (py_set, py_cover) = results
     assert c_set.members == py_set.members
-    assert c_set.total_weight == py_set.total_weight
+    assert c_set.total_weight == py_set.total_weight == c_set.recomputed_weight(inst.graph)
     assert c_cover.tolist() == py_cover.tolist()
     assert np.all(c_cover >= inst.demand_array())
 
@@ -66,6 +66,9 @@ SEEDED = {
     # the C scan reads no weights, so it serves weights past int64 too
     "gnm60-huge-weights": lambda: gen_gnm(60, 240, 33).with_weights(
         [2**64 + v % 7 for v in range(60)]),
+    # weights that fit int64 while their sums do not, summed in Python ints
+    "gnm60-int64-weights": lambda: gen_gnm(60, 240, 34).with_weights(
+        [2**62 + v % 7 for v in range(60)]),
     "star10000": lambda: star(10_000),
 }
 

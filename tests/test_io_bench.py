@@ -142,8 +142,13 @@ def reference_ingest(edge_text: str, weight_text: str | None):
     return labels, [weight_of.get(s, 1) for s in labels], edges
 
 
-LABELS = ["a", "b", "c", "d", "\u00e9t\u00e9"]
-WEIGHT_TEXTS = ["1", "2", "71", "+3", "0", "-4", "x", "1.5"]
+LABELS = ["a", "b", "c", "d", "\u00e9t\u00e9", "n\x00l"]
+# the first VALID_WEIGHTS are integers of at least 1 to Python's int()
+WEIGHT_TEXTS = ["1", "2", "71", "+3", "007", "1_0", "9223372036854775808",
+                "0", "-4", "x", "1.5"]
+VALID_WEIGHTS = 7
+# Unicode and ASCII whitespace beyond space and tab, which str.split() splits on
+SEPARATORS = [" ", "\t", "  ", " \t", "\x85", "\xa0", "\u3000", "\v", "\x1c"]
 
 
 @st.composite
@@ -154,7 +159,7 @@ def table_files(draw, tokens, clean):
     out = []
     for _ in range(draw(st.integers(0, 8))):
         k = draw(st.sampled_from(counts))
-        seps = [draw(st.sampled_from([" ", "\t", "  ", " \t"])) for _ in range(k)]
+        seps = [draw(st.sampled_from(SEPARATORS)) for _ in range(k)]
         words = [draw(tokens(i)) for i in range(k)]
         pad = draw(st.sampled_from(["", " ", "\t"]))
         line = pad + "".join(w + s for w, s in zip(words, seps)).rstrip(" \t") + pad
@@ -171,7 +176,8 @@ def test_ingest_errors_match_a_line_by_line_reader(data):
     with_table = data.draw(st.booleans())
     weight_text = None
     if with_table:
-        weight_value = st.sampled_from(WEIGHT_TEXTS[:4] if clean else WEIGHT_TEXTS)
+        weight_value = st.sampled_from(WEIGHT_TEXTS[:VALID_WEIGHTS] if clean
+                                        else WEIGHT_TEXTS)
         weight_text = data.draw(table_files(lambda i: label if i == 0 else weight_value,
                                             clean and data.draw(st.booleans())))
     edge_text = data.draw(table_files(lambda i: label, clean))
