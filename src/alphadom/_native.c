@@ -75,21 +75,116 @@ int64_t alphadom_local_moves(int64_t n, const int64_t *indptr, const int64_t *in
     return moved_any;
 }
 
-static int compare_ranks(const void *a, const void *b)
+static void swap(int64_t *a, int64_t i, int64_t j)
 {
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
+    int64_t x = a[i];
+    a[i] = a[j];
+    a[j] = x;
+}
+
+/* Sorts the values a[0..len) ascending. */
+static void insertion_sort(int64_t *a, int64_t len)
+{
+    for (int64_t i = 1; i < len; i++) {
+        int64_t x = a[i], j = i;
+        for (; j > 0 && a[j - 1] > x; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+/* Restores the max-heap order of heap[0..size) below position i. */
+static void sift_down(int64_t *heap, int64_t size, int64_t i)
+{
+    int64_t x = heap[i];
+    for (int64_t c; (c = 2 * i + 1) < size; i = c) {
+        if (c + 1 < size && heap[c + 1] > heap[c])
+            c++;
+        if (heap[c] <= x)
+            break;
+        heap[i] = heap[c];
+    }
+    heap[i] = x;
+}
+
+/* Moves the k smallest of the values a[0..len), 0 < k < len, to a[0..k),
+   in O(len log k): a max-heap of the first k takes every smaller value. */
+static void heap_select(int64_t *a, int64_t len, int64_t k)
+{
+    for (int64_t i = k / 2; i-- > 0;)
+        sift_down(a, k, i);
+    for (int64_t i = k; i < len; i++) {
+        if (a[i] < a[0]) {
+            swap(a, 0, i);
+            sift_down(a, k, 0);
+        }
+    }
+}
+
+#define SMALL 16  /* ranges this short are sorted outright */
+
+/* Moves the k smallest of the distinct values a[0..len), 0 < k < len, to
+   a[0..k), in no particular order: introselect (Musser 1997).  Each round
+   partitions the range that holds the k-th smallest around the median of
+   its first, middle and last values and keeps the side that holds it, so
+   a[0..lo) stays below and a[hi..len) above every value of a[lo..hi), and
+   lo < k < hi.  That takes linear time on average; after 2 ceil(log2 len)
+   rounds without finishing, heap_select finishes the range left, so no
+   input takes more than O(len log len). */
+static void select_smallest(int64_t *a, int64_t len, int64_t k)
+{
+    int64_t lo = 0, hi = len, rounds = 0;
+
+    for (int64_t span = 1; span < len; span *= 2)
+        rounds += 2;
+    while (hi - lo > SMALL) {
+        if (rounds-- == 0) {
+            heap_select(a + lo, hi - lo, k - lo);
+            return;
+        }
+        /* sort the first, middle and last values: the middle one is the
+           pivot, and the other two stop the scans below */
+        int64_t mid = lo + (hi - lo) / 2, last = hi - 1;
+        if (a[mid] < a[lo])
+            swap(a, lo, mid);
+        if (a[last] < a[mid]) {
+            swap(a, mid, last);
+            if (a[mid] < a[lo])
+                swap(a, lo, mid);
+        }
+        int64_t pivot = a[mid], i = lo, j = last - 1;
+        swap(a, mid, j);
+        for (;;) {
+            while (a[++i] < pivot)
+                ;
+            while (a[--j] > pivot)
+                ;
+            if (i > j)
+                break;
+            swap(a, i, j);
+        }
+        swap(a, i, last - 1);  /* now a[lo..i) < pivot = a[i] < a(i..hi) */
+        if (i == k || i + 1 == k)
+            return;
+        if (i > k)
+            hi = i;
+        else
+            lo = i + 1;
+    }
+    insertion_sort(a + lo, hi - lo);
 }
 
 /* The greedy fill scan; the Python twin is alphadom.greedy._fill_py.  Each
    vertex v, in ascending index order, that is covered fewer times than its
    demand takes the missing count from the non-members of N[v] that come
-   first in rank, a permutation of 0..n-1 (so sorting ranks picks the same
-   vertices whatever the sort's stability).  cover holds the closed-
-   neighbourhood coverage of the members marked in in_set; both are updated
-   as vertices are added.  added receives the added vertices in the order
-   they were taken, and needs room for n.  Returns their count, or -1 if
-   memory ran out. */
+   first in rank, a permutation of 0..n-1.  The candidates' ranks are then
+   distinct, so the lowest ones form one set, whatever order they are found
+   in; select_smallest moves them to the front of the candidates in O(d)
+   time on average and O(d log d) at worst for a row of d.  cover holds the
+   closed-neighbourhood coverage of the members marked in in_set; both are
+   updated as vertices are added.  added receives the added vertices in the
+   order they were taken, and needs room for n.  Returns their count, or -1
+   if memory ran out. */
 int64_t alphadom_fill(int64_t n, const int64_t *indptr, const int64_t *indices,
                       const int64_t *rank, const int64_t *demands, int64_t *cover,
                       uint8_t *in_set, int64_t *added)
@@ -117,7 +212,7 @@ int64_t alphadom_fill(int64_t n, const int64_t *indptr, const int64_t *indices,
         if (!in_set[v])
             candidates[found++] = rank[v];
         if (need < found)  /* otherwise every candidate is taken */
-            qsort(candidates, (size_t)found, sizeof *candidates, compare_ranks);
+            select_smallest(candidates, found, need);
         else
             need = found;
         for (int64_t i = 0; i < need; i++) {

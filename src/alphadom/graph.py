@@ -325,10 +325,12 @@ class DominationInstance:
     """A weighted graph paired with the coverage rate alpha in (0, 1].
 
     Per-vertex demands ``ceil(alpha * (deg + 1))`` are precomputed at
-    construction time with integer ceiling division, once per distinct degree.
+    construction time with integer ceiling division, once per distinct degree,
+    as an int64 array; the tuple of Python ints that Python loops read is
+    built from it on first use.
     """
 
-    __slots__ = ("graph", "alpha", "demands", "_demand_array")
+    __slots__ = ("graph", "alpha", "_demands", "_demand_array")
 
     def __init__(self, graph: WeightedGraph, alpha):
         self.graph = graph
@@ -339,7 +341,14 @@ class DominationInstance:
         by_degree = np.zeros(len(distinct) and distinct[-1] + 1, dtype=np.int64)
         by_degree[distinct] = [-((-num * (d + 1)) // den) for d in distinct.tolist()]
         self._demand_array = by_degree[degrees]
-        self.demands: tuple[int, ...] = tuple(self._demand_array.tolist())
+        self._demands: tuple[int, ...] | None = None
+
+    @property
+    def demands(self) -> tuple[int, ...]:
+        """Every vertex's demand as a Python int.  Built once, on first access."""
+        if self._demands is None:
+            self._demands = tuple(self._demand_array.tolist())
+        return self._demands
 
     def demand(self, v: int) -> int:
         """Required closed-neighborhood coverage of v; always in [1, deg(v) + 1]."""

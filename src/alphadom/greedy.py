@@ -62,23 +62,46 @@ def _int64_ratios(strategy: Strategy, g: WeightedGraph) -> tuple[np.ndarray, np.
     arrays, when numpy computes them exactly: every weight and denominator
     below 2**53, every product of a weight and a denominator below 2**63.
     None otherwise."""
-    if max(g.weights) >= _FLOAT_EXACT:
+    w = _int64_weights(g)
+    if w is None:
         return None
-    w = g.weight_array()
     top = int(w.max())
+    if top >= _FLOAT_EXACT:
+        return None
     if strategy is Strategy.S1:
         dens = np.ones(g.n, dtype=np.int64)
     elif strategy is Strategy.S2:
         dens = np.diff(g.indptr) + 1
     else:
-        if top * (g.max_degree() + 1) >= _INT64_LIMIT:  # the sums themselves could wrap
+        if top * (g.max_degree() + 1) >= _INT64_LIMIT:  # a row sum could wrap
             return None
-        indptr, indices = g.closed_csr()
-        dens = np.add.reduceat(w[indices], indptr[:-1])
+        # every row sum fits, so the differences of the prefix sums are exact
+        # even where the prefix sums themselves wrap past int64
+        sums = np.zeros(len(g.indices) + 1, dtype=np.int64)
+        np.cumsum(w[g.indices], out=sums[1:])
+        dens = w + sums[g.indptr[1:]] - sums[g.indptr[:-1]]
     den_top = int(dens.max())
     if den_top >= _FLOAT_EXACT or top * den_top >= _INT64_LIMIT:
         return None
     return w, dens
+
+
+def _weight_keys(g: WeightedGraph) -> np.ndarray | None:
+    """w * n + v for every vertex v of weight w, as int64, when no key can
+    pass int64: (largest weight + 1) * n below 2**63.  None otherwise.  The
+    keys are distinct and ascend in the S1 order of :func:`sort_key`."""
+    w = _int64_weights(g)
+    if w is None or (int(w.max()) + 1) * g.n >= _INT64_LIMIT:
+        return None
+    return w * g.n + np.arange(g.n)
+
+
+def _int64_weights(g: WeightedGraph) -> np.ndarray | None:
+    """The weights as int64, or None when one is past that range."""
+    try:
+        return g.weight_array()
+    except ValueError:
+        return None
 
 
 def _denominators(strategy: Strategy, g: WeightedGraph) -> list[int]:
@@ -127,27 +150,41 @@ def _rank_array(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
 def _rank_order(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
     """The ranks of :func:`rank_order`, computed.
 
-    Ratios are first sorted by their correctly rounded floats, with the
-    vertex index breaking ties.  Rounding is monotone, so unequal floats are
-    already in exact order; only a run of equal floats can hold distinct
-    ratios (close values, or weights past 2**53).  Adjacent pairs in such
-    runs are compared exactly by cross-multiplying, and a run that holds
-    two distinct ratios is re-sorted by :func:`sort_key`.  When every ratio
-    fits (see :func:`_int64_ratios`) all of this is numpy arithmetic;
-    otherwise the ratios are Python ints.
+    Under S1 the order is that of the integer keys of :func:`_weight_keys`,
+    sorted once, whenever they fit int64.  Otherwise, and under S2 and S3,
+    ratios are sorted by their correctly rounded floats, and each vertex is
+    keyed by the number of its run of equal floats times n plus its index;
+    one sort of those int64 keys puts the runs in float order and each run
+    in index order.  Rounding is monotone, so unequal floats are already in
+    exact order; only a run of equal floats can hold distinct ratios (close
+    values, or weights past 2**53).  Adjacent pairs in such runs are
+    compared exactly by cross-multiplying, and a run that holds two distinct
+    ratios is re-sorted by :func:`sort_key`.  When every ratio fits (see
+    :func:`_int64_ratios`) all of this is numpy arithmetic; otherwise the
+    ratios are Python ints.
     """
-    if g.n == 0:
-        return np.empty(0, dtype=np.int64)
+    n = g.n
+    rank = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return rank
+    keys = _weight_keys(g) if strategy is Strategy.S1 else None
+    if keys is not None:
+        rank[np.sort(keys) % n] = np.arange(n)
+        return rank
     exact = _int64_ratios(strategy, g)
     if exact is not None:
         nums, dens = exact
         approx = nums / dens
     else:
         nums, dens = g.weights, _denominators(strategy, g)
-        approx = np.fromiter(map(_approx, nums, dens), dtype=np.float64, count=g.n)
-    order = np.argsort(approx, kind="stable")
-    ranked = approx[order]
-    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+        approx = np.fromiter(map(_approx, nums, dens), dtype=np.float64, count=n)
+    by_float = np.argsort(approx)
+    ranked = approx[by_float]
+    new_run = ranked[1:] != ranked[:-1]
+    run = np.zeros(n, dtype=np.int64)
+    np.cumsum(new_run, out=run[1:])
+    order = np.sort(run * n + by_float) % n  # each key is below n**2
+    tied = np.flatnonzero(~new_run)
     a, b = order[tied], order[tied + 1]
     if exact is not None:
         mixed = tied[nums[a] * dens[b] != nums[b] * dens[a]].tolist()
@@ -156,12 +193,11 @@ def _rank_order(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
                  if nums[u] * dens[v] != nums[v] * dens[u]]
     if mixed:
         order = order.tolist()
-        runs = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), g.n]
+        runs = [0, *(np.flatnonzero(new_run) + 1).tolist(), n]
         for r in {bisect_right(runs, i) - 1 for i in mixed}:
             lo, hi = runs[r], runs[r + 1]
             order[lo:hi] = sorted(order[lo:hi], key=lambda v: sort_key(strategy, g, v))
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
+    rank[order] = np.arange(n)
     return rank
 
 
@@ -195,10 +231,7 @@ def _weight_of(g: WeightedGraph, vertices: np.ndarray) -> int:
     """Total weight of distinct vertices: an int64 sum when the largest
     weight times n is below 2**63, so that no such sum can wrap, and a
     Python-int sum otherwise."""
-    try:
-        w = g.weight_array()
-    except ValueError:  # a weight past int64
-        w = None
+    w = _int64_weights(g)
     if w is not None and int(w.max(initial=0)) * g.n < _INT64_LIMIT:
         return int(w[vertices].sum())
     return sum(map(g.weights.__getitem__, vertices.tolist()))

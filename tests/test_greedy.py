@@ -12,7 +12,7 @@ from alphadom import (DominatingSet, DominationInstance, Strategy, WeightedGraph
                       ingest_graph, is_feasible, repair, sort_key,
                       write_edge_list, write_weight_table)
 from alphadom import _native, greedy
-from alphadom.greedy import _int64_ratios, rank_order
+from alphadom.greedy import _int64_ratios, _weight_keys, rank_order
 
 from .strategies import instances, weighted_graphs
 
@@ -66,6 +66,15 @@ def hard_weighted_graphs(draw):
 W = 2**31 - 1
 
 
+def near_float_bound(n):
+    """A sparse graph on n vertices with weights just below 2**53, five of
+    them apart: S1's integer keys w * n + v fit int64 at n = 1000 and not at
+    n = 1100, and S3's sums pass 2**53, where equal floats hold distinct
+    ratios."""
+    return WeightedGraph.from_edges(n, [(v, v + 1) for v in range(0, n - 1, 3)],
+                                    [2**53 - 1 - v % 5 for v in range(n)])
+
+
 def sort_key_ranks(strategy, g):
     order = sorted(range(g.n), key=lambda v: sort_key(strategy, g, v))
     rank = [0] * g.n
@@ -90,6 +99,9 @@ def sort_key_ranks(strategy, g):
 # (for S3 this product bound binds long before the 2**53 denominator bound)
 @example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W, W + 1, W - 1, W]))
 @example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W + 1, W + 2, W, W + 1]))
+# S1 by its integer keys, and past their bound by floats
+@example(near_float_bound(1000))
+@example(near_float_bound(1100))
 def test_rank_order_matches_sort_key(g):
     for s in Strategy:
         assert rank_order(s, g) == sort_key_ranks(s, g)
@@ -104,6 +116,13 @@ def test_numpy_ranks_only_inside_the_bounds():
     assert fits([W + 1, W + 2, W, W + 1]) == [True, True, False]
     assert fits([2**53 - 1, 1, 1, 1]) == [True, True, False]
     assert fits([2**53, 1, 1, 1]) == [False, False, False]
+    assert fits([2**64, 1, 1, 1]) == [False, False, False]
+    # S1's integer keys: (largest weight + 1) * n below 2**63
+    assert _weight_keys(near_float_bound(1000)) is not None
+    assert _weight_keys(near_float_bound(1100)) is None
+    assert _weight_keys(WeightedGraph.from_edges(2, [], [2**62 - 2, 1])) is not None
+    assert _weight_keys(WeightedGraph.from_edges(2, [], [2**62 - 1, 1])) is None
+    assert _weight_keys(WeightedGraph.from_edges(1, [], [2**64])) is None
 
 
 class TestGreedyDominate:
@@ -248,14 +267,33 @@ def test_runtime_sanity_bound():
     assert time.perf_counter() - start < 30.0
 
 
-def test_degree_1e5_hub_runs_in_bounded_time():
-    # loose cap; a mirror check that scans a row per edge would read ~5e9 entries here
-    leaves = 100_000
+LEAVES = 100_000
+HALF_LEAVES = LEAVES // 2
+# leaf weights, leaf by leaf, whose ranks run in these patterns under every
+# strategy: a leaf's S2 and S3 ratios, w/2 and w/(w + hub weight), rise with w
+HUB_PATTERNS = {
+    "sorted": lambda i: 1 + i,
+    "reverse-sorted": lambda i: LEAVES - i,
+    "organ-pipe": lambda i: 2 * i + 1 if i < HALF_LEAVES else 2 * (LEAVES - i),
+    "sawtooth": lambda i: 1 + i % 71,  # equal weights rank by index
+    "all-equal": lambda i: 1,
+}
+
+
+def test_degree_1e5_hub_runs_in_bounded_time(monkeypatch):
+    # loose cap; a mirror check that scans a row per edge would read ~5e9
+    # entries here, and the hub's row is the fill scan's selection's worst case
+    # when its ranks come in the pattern that defeats its pivots
     start = time.perf_counter()
-    g = WeightedGraph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)],
-                                 [1 + v % 71 for v in range(leaves + 1)])
-    inst = DominationInstance(g, Fraction(1, 2))
-    for s in Strategy:
-        d = greedy_dominate(inst, s)
-        assert is_feasible(inst, d)
+    edges = [(0, v) for v in range(1, LEAVES + 1)]
+    for pattern, weight in HUB_PATTERNS.items():
+        g = WeightedGraph.from_edges(LEAVES + 1, edges, [1, *map(weight, range(LEAVES))])
+        for alpha in (Fraction(1, 4), Fraction(1, 2), 1):
+            inst = DominationInstance(g, alpha)
+            for s in Strategy:
+                d = greedy_dominate(inst, s)
+                assert is_feasible(inst, d)
+                with monkeypatch.context() as m:
+                    m.setattr(_native, "fill", lambda: None)
+                    assert greedy_dominate(inst, s).members == d.members, (pattern, alpha, s)
     assert time.perf_counter() - start < 30.0
