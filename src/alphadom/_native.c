@@ -82,17 +82,6 @@ static void swap(int64_t *a, int64_t i, int64_t j)
     a[j] = x;
 }
 
-/* Sorts the values a[0..len) ascending. */
-static void insertion_sort(int64_t *a, int64_t len)
-{
-    for (int64_t i = 1; i < len; i++) {
-        int64_t x = a[i], j = i;
-        for (; j > 0 && a[j - 1] > x; j--)
-            a[j] = a[j - 1];
-        a[j] = x;
-    }
-}
-
 /* Restores the max-heap order of heap[0..size) below position i. */
 static void sift_down(int64_t *heap, int64_t size, int64_t i)
 {
@@ -121,15 +110,15 @@ static void heap_select(int64_t *a, int64_t len, int64_t k)
     }
 }
 
-#define SMALL 16  /* ranges this short are sorted outright */
+#define SMALL 16  /* ranges this short go to heap_select at once */
 
 /* Moves the k smallest of the distinct values a[0..len), 0 < k < len, to
    a[0..k), in no particular order: introselect (Musser 1997).  Each round
    partitions the range that holds the k-th smallest around the median of
    its first, middle and last values and keeps the side that holds it, so
    a[0..lo) stays below and a[hi..len) above every value of a[lo..hi), and
-   lo < k < hi.  That takes linear time on average; after 2 ceil(log2 len)
-   rounds without finishing, heap_select finishes the range left, so no
+   lo < k < hi.  That takes linear time on average.  heap_select finishes
+   the range once it is short, or after 2 ceil(log2 len) rounds, so no
    input takes more than O(len log len). */
 static void select_smallest(int64_t *a, int64_t len, int64_t k)
 {
@@ -137,11 +126,7 @@ static void select_smallest(int64_t *a, int64_t len, int64_t k)
 
     for (int64_t span = 1; span < len; span *= 2)
         rounds += 2;
-    while (hi - lo > SMALL) {
-        if (rounds-- == 0) {
-            heap_select(a + lo, hi - lo, k - lo);
-            return;
-        }
+    for (; hi - lo > SMALL && rounds > 0; rounds--) {
         /* sort the first, middle and last values: the middle one is the
            pivot, and the other two stop the scans below */
         int64_t mid = lo + (hi - lo) / 2, last = hi - 1;
@@ -171,7 +156,7 @@ static void select_smallest(int64_t *a, int64_t len, int64_t k)
         else
             lo = i + 1;
     }
-    insertion_sort(a + lo, hi - lo);
+    heap_select(a + lo, hi - lo, k - lo);
 }
 
 /* The greedy fill scan; the Python twin is alphadom.greedy._fill_py.  Each

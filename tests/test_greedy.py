@@ -268,13 +268,12 @@ def test_runtime_sanity_bound():
 
 
 LEAVES = 100_000
-HALF_LEAVES = LEAVES // 2
 # leaf weights, leaf by leaf, whose ranks run in these patterns under every
 # strategy: a leaf's S2 and S3 ratios, w/2 and w/(w + hub weight), rise with w
 HUB_PATTERNS = {
     "sorted": lambda i: 1 + i,
     "reverse-sorted": lambda i: LEAVES - i,
-    "organ-pipe": lambda i: 2 * i + 1 if i < HALF_LEAVES else 2 * (LEAVES - i),
+    "organ-pipe": lambda i: 2 * i + 1 if i < LEAVES // 2 else 2 * (LEAVES - i),
     "sawtooth": lambda i: 1 + i % 71,  # equal weights rank by index
     "all-equal": lambda i: 1,
 }
@@ -282,8 +281,9 @@ HUB_PATTERNS = {
 
 def test_degree_1e5_hub_runs_in_bounded_time(monkeypatch):
     # loose cap; a mirror check that scans a row per edge would read ~5e9
-    # entries here, and the hub's row is the fill scan's selection's worst case
-    # when its ranks come in the pattern that defeats its pivots
+    # entries here.  The C scan selects the hub's lowest ranks out of its
+    # row, and organ-pipe ranks defeat the selection's pivots until it falls
+    # back to its heap
     start = time.perf_counter()
     edges = [(0, v) for v in range(1, LEAVES + 1)]
     for pattern, weight in HUB_PATTERNS.items():
