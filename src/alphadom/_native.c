@@ -3,8 +3,11 @@
 
    alphadom._native builds this file with the system C compiler on first use
    and calls it through ctypes; each kernel has a Python twin that is both
-   the fallback without a compiler and the reference for its results.
-   Graphs are CSR (indptr, indices) with int64 entries; a row lists the
+   the fallback without a compiler and the reference for its results.  The
+   twins of the local moves and of the fill scan take the kernel's own
+   arguments and return its results, so a caller makes one call to either;
+   the parser's twins are line scanners that also take the file paths,
+   which their errors name.  Graphs are CSR (indptr, indices) with int64 entries; a row lists the
    neighbours of a vertex other than itself. */
 #include <stdint.h>
 #include <stdlib.h>

@@ -96,18 +96,19 @@ def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | Non
     (:func:`_local_moves_py`); both make the same moves.
     """
     native = _native.local_moves()
-    if native is not None and two_m <= _NATIVE_MAX_TWO_M:
-        return native(indptr, indices, data, strength, two_m)
-    weights = None if data is None else _split_rows(indptr, data)
-    return _local_moves_py(_split_rows(indptr, indices), weights, strength.tolist(), two_m)
+    phase = native if native is not None and two_m <= _NATIVE_MAX_TWO_M else _local_moves_py
+    return phase(indptr, indices, data, strength, two_m)
 
 
-def _local_moves_py(rows, weights, strength: list[int], two_m: int) -> tuple[list[int], bool]:
-    """The local-move phase of :func:`_local_moves` in Python.
+def _local_moves_py(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
+                    strength: np.ndarray, two_m: int) -> tuple[list[int], bool]:
+    """The local-move phase of :func:`_local_moves` in Python, with the
+    arguments and the results of the C phase (``run`` of
+    :func:`alphadom._native.local_moves`).
 
-    ``rows[v]`` lists the neighbours of v other than itself, each once, with
-    integer weights ``weights[v]``, or unit weights when ``weights`` is None.
-    Vertices are scanned in ascending index order and moved to the
+    The row of v lists the neighbours of v other than itself, each once,
+    with integer weights from ``data``, or unit weights when ``data`` is
+    None.  Vertices are scanned in ascending index order and moved to the
     neighbouring community with the greatest strictly positive modularity
     gain; equal gains resolve to the lowest community id.  Sweeps repeat
     until a full sweep moves nothing.  A gain is compared as the integer
@@ -119,6 +120,10 @@ def _local_moves_py(rows, weights, strength: list[int], two_m: int) -> tuple[lis
     that drops to zero is deleted, so the keys are exactly the communities
     a full recount would find; the choice does not depend on their order.
     """
+    bounds = indptr.tolist()
+    rows = _split_rows(bounds, indices)
+    weights = None if data is None else _split_rows(bounds, data)
+    strength = strength.tolist()
     n = len(rows)
     comm = list(range(n))
     sigma = list(strength)  # total strength per community
@@ -186,8 +191,7 @@ def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
     return b.indptr, b.indices, b.data
 
 
-def _split_rows(indptr: np.ndarray, values: np.ndarray) -> list[list[int]]:
-    bounds = indptr.tolist()
+def _split_rows(bounds: list[int], values: np.ndarray) -> list[list[int]]:
     flat = values.tolist()
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 

@@ -4,7 +4,7 @@ A graph is immutable once built; solvers construct and mutate
 :class:`DominatingSet` objects on the side.  Its topology is held once, as
 CSR arrays (``indptr``, ``indices``) from which the closed neighbourhoods
 (A + I) that coverage and the LP read, induced subgraphs and, on first use,
-the Python lists and tuple rows that Python loops read are all derived.  The
+the tuple rows that Python loops read are all derived.  The
 coverage threshold of a vertex ``v`` is ``ceil(alpha * (deg(v) + 1))`` and
 is computed with exact rational arithmetic, so a threshold never moves
 because of a float rounding artifact.
@@ -84,8 +84,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("n", "indptr", "indices", "weights", "labels", "_adjacency",
-                 "_lists", "_label_index", "_weight_array", "_closed", "_partition",
-                 "_ranks", "_rank_arrays")
+                 "_label_index", "_weight_array", "_closed", "_partition", "_ranks")
 
     def __init__(self, adjacency: Sequence[Sequence[int]],
                  weights: Sequence[int],
@@ -150,13 +149,11 @@ class WeightedGraph:
         self.weights: tuple[int, ...] = w
         self.labels: tuple[str, ...] | None = labels
         self._adjacency: tuple[tuple[int, ...], ...] | None = None
-        self._lists: tuple[list[int], list[int]] | None = None
         self._label_index: dict[str, int] | None = None
         self._weight_array: np.ndarray | None = None
         self._closed: tuple[np.ndarray, np.ndarray] | None = None
         self._partition = None  # set by community.louvain on its first call
         self._ranks: dict = {}  # strategy -> greedy.rank_order, filled on first use
-        self._rank_arrays: dict = {}  # strategy -> the same ranks as an int64 array
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
@@ -204,19 +201,11 @@ class WeightedGraph:
             self._adjacency = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._adjacency
 
-    def csr_lists(self) -> tuple[list[int], list[int]]:
-        """(indptr, indices) as lists of Python ints, for Python loops that
-        slice rows out of them.  Built once; callers must not modify them."""
-        if self._lists is None:
-            self._lists = (self.indptr.tolist(), self.indices.tolist())
-        return self._lists
-
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        bounds, flat = self.csr_lists()
-        return tuple(flat[bounds[v]:bounds[v + 1]])
+        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     @property
     def edge_count(self) -> int:
@@ -326,11 +315,10 @@ class DominationInstance:
 
     Per-vertex demands ``ceil(alpha * (deg + 1))`` are precomputed at
     construction time with integer ceiling division, once per distinct degree,
-    as an int64 array; the tuple of Python ints that Python loops read is
-    built from it on first use.
+    as an int64 array.
     """
 
-    __slots__ = ("graph", "alpha", "_demands", "_demand_array")
+    __slots__ = ("graph", "alpha", "_demand_array")
 
     def __init__(self, graph: WeightedGraph, alpha):
         self.graph = graph
@@ -341,24 +329,37 @@ class DominationInstance:
         by_degree = np.zeros(len(distinct) and distinct[-1] + 1, dtype=np.int64)
         by_degree[distinct] = [-((-num * (d + 1)) // den) for d in distinct.tolist()]
         self._demand_array = by_degree[degrees]
-        self._demands: tuple[int, ...] | None = None
-
-    @property
-    def demands(self) -> tuple[int, ...]:
-        """Every vertex's demand as a Python int.  Built once, on first access."""
-        if self._demands is None:
-            self._demands = tuple(self._demand_array.tolist())
-        return self._demands
 
     def demand(self, v: int) -> int:
         """Required closed-neighborhood coverage of v; always in [1, deg(v) + 1]."""
-        return self.demands[v]
+        return int(self._demand_array[v])
 
     def demand_array(self) -> np.ndarray:
         return self._demand_array
 
     def __repr__(self) -> str:
         return f"DominationInstance(n={self.graph.n}, alpha={self.alpha})"
+
+
+_INT64_LIMIT = 2**63
+
+
+def _int64_weights(g: WeightedGraph) -> np.ndarray | None:
+    """The weights as int64, or None when one is past that range."""
+    try:
+        return g.weight_array()
+    except ValueError:
+        return None
+
+
+def _weight_of(g: WeightedGraph, vertices: np.ndarray) -> int:
+    """Total weight of distinct vertices: an int64 sum when the largest
+    weight times n is below 2**63, so that no such sum can wrap, and a
+    Python-int sum otherwise."""
+    w = _int64_weights(g)
+    if w is not None and int(w.max(initial=0)) * g.n < _INT64_LIMIT:
+        return int(w[vertices].sum())
+    return sum(map(g.weights.__getitem__, vertices.tolist()))
 
 
 class DominatingSet:
@@ -380,11 +381,8 @@ class DominatingSet:
 
     @classmethod
     def from_members(cls, g: WeightedGraph, members: Iterable[int]) -> "DominatingSet":
-        ms = set(members)
-        for v in ms:
-            if not 0 <= v < g.n:
-                raise ValueError(f"member {v} out of range")
-        return cls(ms, sum(g.weights[v] for v in ms))
+        ms = set(_vertices(members, g.n).tolist())
+        return cls(ms, _weight_of(g, np.fromiter(ms, dtype=np.int64, count=len(ms))))
 
     def add(self, g: WeightedGraph, v: int) -> None:
         if v not in self.members:
@@ -468,7 +466,7 @@ def is_feasible(inst: DominationInstance, candidate) -> bool:
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by smallest member."""
-    bounds, flat = g.csr_lists()
+    bounds, flat = g.indptr.tolist(), g.indices.tolist()
     seen = bytearray(g.n)
     comps = []
     for s in range(g.n):

@@ -20,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _native
-from .graph import DominatingSet, DominationInstance, WeightedGraph, _frozen
+from .graph import (_INT64_LIMIT, DominatingSet, DominationInstance, WeightedGraph, _frozen,
+                    _int64_weights, _weight_of)
 
 
 class Strategy(Enum):
@@ -54,7 +55,6 @@ def sort_key(strategy: Strategy, g: WeightedGraph, v: int) -> SortKey:
 
 
 _FLOAT_EXACT = 2**53  # every int below this is a float, and int / int is correctly rounded
-_INT64_LIMIT = 2**63
 
 
 def _int64_ratios(strategy: Strategy, g: WeightedGraph) -> tuple[np.ndarray, np.ndarray] | None:
@@ -96,14 +96,6 @@ def _weight_keys(g: WeightedGraph) -> np.ndarray | None:
     return w * g.n + np.arange(g.n)
 
 
-def _int64_weights(g: WeightedGraph) -> np.ndarray | None:
-    """The weights as int64, or None when one is past that range."""
-    try:
-        return g.weight_array()
-    except ValueError:
-        return None
-
-
 def _denominators(strategy: Strategy, g: WeightedGraph) -> list[int]:
     """Denominator of every vertex's ranking value as Python ints; the
     numerator is its weight."""
@@ -112,7 +104,7 @@ def _denominators(strategy: Strategy, g: WeightedGraph) -> list[int]:
         return [1] * g.n
     if strategy is Strategy.S2:
         return (np.diff(g.indptr) + 1).tolist()
-    bounds, flat = g.csr_lists()
+    bounds, flat = g.indptr.tolist(), g.indices.tolist()
     return [wv + sum(map(w.__getitem__, flat[a:b]))
             for wv, a, b in zip(w, bounds, bounds[1:])]
 
@@ -125,25 +117,16 @@ def _approx(num: int, den: int) -> float:
         return math.inf
 
 
-def rank_order(strategy: Strategy, g: WeightedGraph) -> list[int]:
-    """Position of every vertex in the order of :func:`sort_key`.
+def rank_order(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
+    """Position of every vertex in the order of :func:`sort_key`, as a
+    read-only int64 array.
 
     Computed once per graph and strategy and kept on the graph, so every
-    greedy call and every repair on one graph share it; callers must not
-    modify the list.
+    greedy call and every repair on one graph share it.
     """
     ranks = g._ranks.get(strategy)
     if ranks is None:
-        ranks = g._ranks[strategy] = _rank_array(strategy, g).tolist()
-    return ranks
-
-
-def _rank_array(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
-    """The ranks of :func:`rank_order` as a read-only int64 array, kept on
-    the graph likewise."""
-    ranks = g._rank_arrays.get(strategy)
-    if ranks is None:
-        ranks = g._rank_arrays[strategy] = _frozen(_rank_order(strategy, g))
+        ranks = g._ranks[strategy] = _frozen(_rank_order(strategy, g))
     return ranks
 
 
@@ -211,62 +194,47 @@ def _fill(inst: DominationInstance, strategy: Strategy, start: DominatingSet,
     in the order of :func:`rank_order`.  Coverage only ever grows, so one
     scan settles every vertex.  ``start`` is not modified.  The scan reads
     no weights; only the weight of the result is summed, by
-    :func:`_weight_of`.
+    :func:`alphadom.graph._weight_of`.
     """
     g = inst.graph
-    native = _native.fill()
-    if native is None:
-        added = np.array(_fill_py(inst, rank_order(strategy, g), start.members, cover),
-                         dtype=np.int64)
-    else:
-        in_set = np.zeros(g.n, dtype=np.uint8)
-        in_set[np.fromiter(start.members, dtype=np.int64, count=len(start.members))] = 1
-        added = native(g.indptr, g.indices, _rank_array(strategy, g), inst.demand_array(),
-                       cover, in_set)
+    in_set = np.zeros(g.n, dtype=np.uint8)
+    in_set[np.fromiter(start.members, dtype=np.int64, count=len(start.members))] = 1
+    scan = _native.fill() or _fill_py
+    added = scan(g.indptr, g.indices, rank_order(strategy, g), inst.demand_array(), cover, in_set)
     return DominatingSet(start.members.union(added.tolist()),
                          start.total_weight + _weight_of(g, added))
 
 
-def _weight_of(g: WeightedGraph, vertices: np.ndarray) -> int:
-    """Total weight of distinct vertices: an int64 sum when the largest
-    weight times n is below 2**63, so that no such sum can wrap, and a
-    Python-int sum otherwise."""
-    w = _int64_weights(g)
-    if w is not None and int(w.max(initial=0)) * g.n < _INT64_LIMIT:
-        return int(w[vertices].sum())
-    return sum(map(g.weights.__getitem__, vertices.tolist()))
-
-
-def _fill_py(inst: DominationInstance, rank: list[int], members,
-             cover: np.ndarray) -> list[int]:
-    """The scan of :func:`_fill` as a Python loop: the fallback without a C
-    compiler and the reference for the C scan.  Returns the added vertices
-    in the order they were taken."""
-    g = inst.graph
-    bounds, flat = g.csr_lists()
-    in_set = bytearray(g.n)
-    for v in members:
-        in_set[v] = 1
+def _fill_py(indptr: np.ndarray, indices: np.ndarray, rank: np.ndarray, demands: np.ndarray,
+             cover: np.ndarray, in_set: np.ndarray) -> np.ndarray:
+    """The scan of :func:`_fill` as a Python loop, with the arguments and the
+    result of the C scan (``run`` of :func:`alphadom._native.fill`): the
+    fallback without a C compiler and the reference for the C scan.
+    ``cover`` (int64) and ``in_set`` (uint8) are updated in place; returns
+    the added vertices in the order they were taken, as int64."""
+    bounds, flat, order = indptr.tolist(), indices.tolist(), rank.tolist()
+    taken = bytearray(in_set.tobytes())
     counts = cover.tolist()
     added: list[int] = []
 
-    for v, demand in enumerate(inst.demands):
+    for v, demand in enumerate(demands.tolist()):
         need = demand - counts[v]
         if need <= 0:
             continue
-        candidates = [u for u in flat[bounds[v]:bounds[v + 1]] if not in_set[u]]
-        if not in_set[v]:
+        candidates = [u for u in flat[bounds[v]:bounds[v + 1]] if not taken[u]]
+        if not taken[v]:
             candidates.append(v)
-        candidates.sort(key=rank.__getitem__)
+        candidates.sort(key=order.__getitem__)
         for u in candidates[:need]:
-            in_set[u] = 1
+            taken[u] = 1
             added.append(u)
             counts[u] += 1
             for t in flat[bounds[u]:bounds[u + 1]]:
                 counts[t] += 1
 
     cover[:] = counts
-    return added
+    in_set[:] = np.frombuffer(taken, dtype=np.uint8)
+    return np.array(added, dtype=np.int64)
 
 
 def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingSet:

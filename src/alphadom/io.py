@@ -128,18 +128,32 @@ def ingest_graph(edge_path, weight_path=None) -> WeightedGraph:
     return WeightedGraph.from_edges(len(labels), ends, weights, labels)
 
 
+def _labels_of(g: WeightedGraph, vertices) -> list[str]:
+    """The labels of ``vertices``.  A label must read back as itself: one
+    token with no whitespace in or around it; ValueError names the first
+    vertex whose label is not."""
+    labels = [g.label_of(v) for v in vertices]
+    for v, label in zip(vertices, labels):
+        if label.split() != [label]:
+            raise ValueError(f"vertex {v} has label {label!r}, which would not read back "
+                             "as one whitespace-free token")
+    return labels
+
+
 def write_edge_list(g: WeightedGraph, path) -> None:
     """One edge per line, ascending (u, v) order, using the graph's labels."""
+    labels = _labels_of(g, range(g.n))
     with open(path, "w", encoding="utf-8") as fh:
         for u, v in g.edges():
-            fh.write(f"{g.label_of(u)} {g.label_of(v)}\n")
+            fh.write(f"{labels[u]} {labels[v]}\n")
 
 
 def write_weight_table(g: WeightedGraph, path) -> None:
     """Every vertex in index order, so a re-ingest reproduces the same indexing."""
+    labels = _labels_of(g, range(g.n))
     with open(path, "w", encoding="utf-8") as fh:
-        for v in range(g.n):
-            fh.write(f"{g.label_of(v)} {g.weights[v]}\n")
+        for label, w in zip(labels, g.weights):
+            fh.write(f"{label} {w}\n")
 
 
 def write_graph_bundle(g: WeightedGraph, path) -> None:
@@ -178,9 +192,10 @@ def read_graph_bundle(path) -> WeightedGraph:
 
 def write_solution(g: WeightedGraph, solution: DominatingSet, path) -> None:
     """One member label per line, ascending index order."""
+    labels = _labels_of(g, solution.as_sorted_tuple())
     with open(path, "w", encoding="utf-8") as fh:
-        for v in solution.as_sorted_tuple():
-            fh.write(f"{g.label_of(v)}\n")
+        for label in labels:
+            fh.write(f"{label}\n")
 
 
 def read_solution(g: WeightedGraph, path) -> DominatingSet:

@@ -38,7 +38,7 @@ def brute_force_opt(inst: DominationInstance) -> OracleResult:
     if n > BRUTE_FORCE_LIMIT:
         raise InstanceTooLargeError(f"n={n} exceeds brute-force guard {BRUTE_FORCE_LIMIT}")
 
-    demands = list(inst.demands)
+    demands = inst.demand_array().tolist()
     closed = [list(g.closed_neighborhood(v)) for v in range(n)]
     weights = g.weights
 

@@ -24,7 +24,20 @@ needs_native = pytest.mark.skipif(NATIVE is None, reason="no C compiler to build
 
 def assert_same_fill(inst, strategy, start):
     """Both scans from ``start`` and its coverage give the same set, weight
-    and final coverage."""
+    and final coverage, through :func:`greedy._fill` and called directly on
+    copies of the same arrays."""
+    g = inst.graph
+    rank = greedy.rank_order(strategy, g)
+    in_set = np.zeros(g.n, dtype=np.uint8)
+    in_set[sorted(start.members)] = 1
+    direct = []
+    for scan in (NATIVE, greedy._fill_py):
+        cover, flags = coverage_counts(g, start), in_set.copy()
+        added = scan(g.indptr, g.indices, rank, inst.demand_array(), cover, flags)
+        direct.append((set(added.tolist()), cover.tolist(), flags.tolist()))
+    assert direct[0] == direct[1]
+    assert not start.members & direct[0][0]
+
     results = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         for fill in (NATIVE, None):
@@ -92,10 +105,12 @@ def test_python_fallback_gives_the_native_sets(monkeypatch):
         return [(d.members, d.total_weight) for d in sets]
 
     native = solve_all()
-    assert g._lists is None  # the C scan reads the CSR arrays
+    scans = []
+    fill_py = greedy._fill_py
+    monkeypatch.setattr(greedy, "_fill_py", lambda *args: scans.append(1) or fill_py(*args))
     monkeypatch.setattr(_native, "fill", lambda: None)
     assert solve_all() == native
-    assert g._lists is not None  # the Python scan ran
+    assert len(scans) == len(native)  # every set came from the Python scan
 
 
 def test_fill_warns_once_without_a_compiler(tmp_path, monkeypatch):

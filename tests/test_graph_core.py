@@ -305,13 +305,19 @@ def test_coverage_counts_rejects_out_of_range_members(bad):
         coverage_counts(g, {bad})
     with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
         coverage_counts(g, DominatingSet({1, bad}, 0))
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+        DominatingSet.from_members(g, [1, bad])
+
+
+def test_from_members_rejects_non_integer_members():
+    with pytest.raises(TypeError, match="vertex indices must be integers"):
+        DominatingSet.from_members(path3(), [1.5])
 
 
 def check_representation(g: WeightedGraph, rng: np.random.Generator) -> None:
     """The CSR arrays, the tuple rows, A + I, from_edges, subgraph, coverage
     and demands against plain-Python references."""
     rows = [list(r) for r in g.adjacency]
-    assert g.csr_lists() == (g.indptr.tolist(), g.indices.tolist())
     for v in range(g.n):
         assert tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) == g.adjacency[v]
         assert g.neighbors(v) == g.adjacency[v] and g.degree(v) == len(rows[v])
@@ -355,8 +361,9 @@ def check_representation(g: WeightedGraph, rng: np.random.Generator) -> None:
         coverage_count(g, members, v) for v in range(g.n)]
     for alpha in (Fraction(1, 4), Fraction(2, 5), Fraction(1)):
         inst = DominationInstance(g, alpha)
-        assert inst.demands == tuple(math.ceil(alpha * (len(r) + 1)) for r in rows)
-        assert inst.demand_array().tolist() == list(inst.demands)
+        expected = [math.ceil(alpha * (len(r) + 1)) for r in rows]
+        assert inst.demand_array().tolist() == expected
+        assert [inst.demand(v) for v in range(g.n)] == expected
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 """File-format round trips and the experiment harness."""
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -232,6 +233,18 @@ class TestRoundTrips:
         write_solution(g, d, tmp_path / "sol.txt")
         assert (tmp_path / "sol.txt").read_text() == "x\nz\n"
         assert read_solution(g, tmp_path / "sol.txt").members == {0, 2}
+
+    @pytest.mark.parametrize("bad", ["", "a b", " a", "a\nb"])
+    def test_writers_refuse_a_label_that_would_not_read_back(self, tmp_path, bad):
+        g = WeightedGraph.from_edges(2, [(0, 1)], [3, 1], labels=[bad, "c"])
+        writers = {"g.edges": lambda path: write_edge_list(g, path),
+                   "g.weights": lambda path: write_weight_table(g, path),
+                   "sol.txt": lambda path: write_solution(g, DominatingSet.from_members(g, [0]),
+                                                          path)}
+        for name, write in writers.items():
+            with pytest.raises(ValueError, match=re.escape(f"vertex 0 has label {bad!r}")):
+                write(tmp_path / name)
+            assert not (tmp_path / name).exists()
 
     def test_solution_unknown_label(self, tmp_path):
         g = WeightedGraph.from_edges(2, [(0, 1)], [1, 1], labels=["a", "b"])

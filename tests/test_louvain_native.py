@@ -26,18 +26,12 @@ SEEDED = {
 }
 
 
-def python_phase(indptr, indices, data, strength, two_m):
-    weights = None if data is None else community._split_rows(indptr, data)
-    return community._local_moves_py(community._split_rows(indptr, indices), weights,
-                                      strength.tolist(), two_m)
-
-
 def assert_same_moves_at_every_level(g, monkeypatch):
     levels = []
 
     def both(indptr, indices, data, strength, two_m):
         got = NATIVE(indptr, indices, data, strength, two_m)
-        assert got == python_phase(indptr, indices, data, strength, two_m)
+        assert got == community._local_moves_py(indptr, indices, data, strength, two_m)
         levels.append(data is not None)
         return got
 

@@ -90,7 +90,7 @@ def repair_reference(inst, candidate):
     out = candidate.copy()
     cover = coverage_counts(g, out)
     for v in range(g.n):
-        short = inst.demands[v] - int(cover[v])
+        short = inst.demand(v) - int(cover[v])
         if short <= 0:
             continue
         pool = [u for u in g.adjacency[v] if u not in out]
