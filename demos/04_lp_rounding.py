@@ -38,7 +38,7 @@ print("\nsingle rounding passes (draws from [0, 0.5)):")
 rng = np.random.default_rng(7)
 for trial in range(3):
     picked = round_once(frac.values, rng)
-    d = DominatingSet.from_members(g, (int(v) for v in picked))
+    d = DominatingSet.from_members(g, picked)
     print(f"  pass {trial}: size={len(d)} weight={d.total_weight} "
           f"feasible={is_feasible(inst, d)}")
 

@@ -266,8 +266,9 @@ def community_rounding(inst: DominationInstance, seed: int,
     _check_covers(g, part)
     rounds = default_max_rounds(g)  # max degree of the whole graph, not the community
     communities = part.communities()
+    picked = np.zeros(g.n, dtype=bool)
     # the induced demand of a singleton is 1: itself
-    picked = {verts[0] for verts in communities if len(verts) == 1}
+    picked[[verts[0] for verts in communities if len(verts) == 1]] = True
     blocks = [(cid, verts) for cid, verts in enumerate(communities) if len(verts) > 1]
 
     with ThreadPoolExecutor(max_workers=_pool_size(len(blocks))) as pool:
@@ -279,6 +280,6 @@ def community_rounding(inst: DominationInstance, seed: int,
         for cid, sub_inst, to_global, frac in solving:
             local = round_until_feasible(sub_inst, frac.result().values,
                                          np.random.default_rng([seed, cid]), rounds)
-            picked.update(int(to_global[v]) for v in local.members)
+            picked[to_global[local.vertices]] = True
 
-    return repair(inst, DominatingSet.from_members(g, picked))
+    return repair(inst, DominatingSet.from_mask(g, picked))

@@ -1,13 +1,13 @@
 """Weighted-graph data model and the coverage arithmetic shared by every solver.
 
-A graph is immutable once built; solvers construct and mutate
-:class:`DominatingSet` objects on the side.  Its topology is held once, as
-CSR arrays (``indptr``, ``indices``) from which the closed neighbourhoods
-(A + I) that coverage and the LP read, induced subgraphs and, on first use,
-the tuple rows that Python loops read are all derived.  The
-coverage threshold of a vertex ``v`` is ``ceil(alpha * (deg(v) + 1))`` and
-is computed with exact rational arithmetic, so a threshold never moves
-because of a float rounding artifact.
+A graph is immutable once built, and so is a :class:`DominatingSet`, one
+sorted int64 array of members built from a membership mask.  A graph's
+topology is held once, as CSR arrays (``indptr``, ``indices``) from which
+the closed neighbourhoods (A + I) that coverage and the LP read, induced
+subgraphs and, on first use, the tuple rows that Python loops read are all
+derived.  The coverage threshold of a vertex ``v`` is
+``ceil(alpha * (deg(v) + 1))`` and is computed with exact rational
+arithmetic, so a threshold never moves because of a float rounding artifact.
 """
 from __future__ import annotations
 
@@ -52,7 +52,8 @@ def _as_indices(values, n: int) -> np.ndarray:
 
 def _vertices(values: Iterable[int], n: int) -> np.ndarray:
     """Vertex indices as int64; ValueError names the first one outside 0..n-1."""
-    values = list(values)
+    if not isinstance(values, np.ndarray):
+        values = list(values)
     arr = _as_indices(values, n)
     bad = (arr < 0) | (arr >= n)
     if bad.any():
@@ -363,49 +364,55 @@ def _weight_of(g: WeightedGraph, vertices: np.ndarray) -> int:
 
 
 class DominatingSet:
-    """Candidate solution: a vertex subset with a cached total weight.
+    """Candidate solution: its members as one sorted, unique, read-only int64
+    array, with their total weight.
 
-    Single-owner mutable; the cache is maintained by :meth:`add` and can be
-    audited against a fresh sum at any time.
+    Built once, by :meth:`from_mask` or :meth:`from_members`, and never
+    modified; the weight can be audited against a fresh sum at any time.
     """
 
-    __slots__ = ("members", "total_weight")
+    __slots__ = ("vertices", "total_weight")
 
-    def __init__(self, members: set[int], total_weight: int):
-        self.members = members
+    def __init__(self, vertices: np.ndarray, total_weight: int):
+        self.vertices = vertices
         self.total_weight = total_weight
 
     @classmethod
     def empty(cls) -> "DominatingSet":
-        return cls(set(), 0)
+        return cls(_frozen(np.zeros(0, dtype=np.int64)), 0)
+
+    @classmethod
+    def from_mask(cls, g: WeightedGraph, mask: np.ndarray) -> "DominatingSet":
+        """The vertices whose entry of the length-n ``mask`` is nonzero."""
+        vertices = _frozen(np.flatnonzero(mask))
+        return cls(vertices, _weight_of(g, vertices))
 
     @classmethod
     def from_members(cls, g: WeightedGraph, members: Iterable[int]) -> "DominatingSet":
-        ms = set(_vertices(members, g.n).tolist())
-        return cls(ms, _weight_of(g, np.fromiter(ms, dtype=np.int64, count=len(ms))))
+        mask = np.zeros(g.n, dtype=bool)
+        mask[_vertices(members, g.n)] = True
+        return cls.from_mask(g, mask)
 
-    def add(self, g: WeightedGraph, v: int) -> None:
-        if v not in self.members:
-            self.members.add(v)
-            self.total_weight += g.weights[v]
-
-    def copy(self) -> "DominatingSet":
-        return DominatingSet(set(self.members), self.total_weight)
+    @property
+    def members(self) -> frozenset[int]:
+        """The members as Python ints, built on each read."""
+        return frozenset(self.vertices.tolist())
 
     def recomputed_weight(self, g: WeightedGraph) -> int:
-        return sum(g.weights[v] for v in self.members)
+        return sum(g.weights[v] for v in self.vertices.tolist())
 
     def as_sorted_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(self.vertices.tolist())
 
     def __contains__(self, v: int) -> bool:
-        return v in self.members
+        i = int(np.searchsorted(self.vertices, v))
+        return i < len(self.vertices) and self.vertices[i] == v
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.vertices)
 
     def __repr__(self) -> str:
-        return f"DominatingSet(size={len(self.members)}, weight={self.total_weight})"
+        return f"DominatingSet(size={len(self.vertices)}, weight={self.total_weight})"
 
 
 @dataclass(frozen=True)
@@ -419,20 +426,9 @@ class DeficiencyReport:
         return not self.shortfalls
 
 
-def _member_set(candidate) -> set[int]:
-    if isinstance(candidate, DominatingSet):
-        return candidate.members
-    return set(candidate)
-
-
 def coverage_count(g: WeightedGraph, candidate, v: int) -> int:
     """|N[v] ∩ D| where N[v] is the closed neighborhood."""
-    members = _member_set(candidate)
-    c = 1 if v in members else 0
-    for u in g.neighbors(v):
-        if u in members:
-            c += 1
-    return c
+    return sum(u in candidate for u in (v, *g.neighbors(v)))
 
 
 def coverage_counts(g: WeightedGraph, candidate) -> np.ndarray:
@@ -442,7 +438,9 @@ def coverage_counts(g: WeightedGraph, candidate) -> np.ndarray:
     sum of the membership mask over each row of A + I.
     """
     member = np.zeros(g.n, dtype=np.int64)
-    member[_vertices(_member_set(candidate), g.n)] = 1
+    if isinstance(candidate, DominatingSet):
+        candidate = candidate.vertices
+    member[_vertices(candidate, g.n)] = 1
     if g.n == 0:
         return member
     indptr, indices = g.closed_csr()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _native
 from .graph import (_INT64_LIMIT, DominatingSet, DominationInstance, WeightedGraph, _frozen,
-                    _int64_weights, _weight_of)
+                    _int64_weights)
 
 
 class Strategy(Enum):
@@ -192,17 +192,16 @@ def _fill(inst: DominationInstance, strategy: Strategy, start: DominatingSet,
     array, updated in place.  For each vertex v still short of its demand,
     the missing count is filled with the non-members of N[v] that come first
     in the order of :func:`rank_order`.  Coverage only ever grows, so one
-    scan settles every vertex.  ``start`` is not modified.  The scan reads
-    no weights; only the weight of the result is summed, by
-    :func:`alphadom.graph._weight_of`.
+    scan settles every vertex.  ``start`` is not modified: the scan marks
+    its picks in a new membership mask of ``start``, and the result is
+    built from that mask.  The scan reads no weights.
     """
     g = inst.graph
     in_set = np.zeros(g.n, dtype=np.uint8)
-    in_set[np.fromiter(start.members, dtype=np.int64, count=len(start.members))] = 1
+    in_set[start.vertices] = 1
     scan = _native.fill() or _fill_py
-    added = scan(g.indptr, g.indices, rank_order(strategy, g), inst.demand_array(), cover, in_set)
-    return DominatingSet(start.members.union(added.tolist()),
-                         start.total_weight + _weight_of(g, added))
+    scan(g.indptr, g.indices, rank_order(strategy, g), inst.demand_array(), cover, in_set)
+    return DominatingSet.from_mask(g, in_set)
 
 
 def _fill_py(indptr: np.ndarray, indices: np.ndarray, rank: np.ndarray, demands: np.ndarray,

@@ -41,11 +41,11 @@ def round_until_feasible(inst: DominationInstance, values: np.ndarray,
                          rng: np.random.Generator, rounds: int) -> DominatingSet:
     """Union up to ``rounds`` passes of :func:`round_once`, stopping at the
     first union that is feasible.  The result may still fall short."""
-    g = inst.graph
+    picked = np.zeros(inst.graph.n, dtype=bool)
     accumulated = DominatingSet.empty()
     for _ in range(rounds):
-        for v in round_once(values, rng):
-            accumulated.add(g, int(v))
+        picked[round_once(values, rng)] = True
+        accumulated = DominatingSet.from_mask(inst.graph, picked)
         if is_feasible(inst, accumulated):
             break
     return accumulated

@@ -205,17 +205,34 @@ class TestCoverageAndFeasibility:
 
 
 class TestDominatingSet:
-    def test_weight_cache_tracks_adds(self):
+    def test_weight_counts_a_repeated_member_once(self):
         g = path3()
-        d = DominatingSet.empty()
-        d.add(g, 0)
-        d.add(g, 2)
-        d.add(g, 0)  # repeat is a no-op
+        d = DominatingSet.from_members(g, [0, 2, 0])
+        assert d.vertices.tolist() == [0, 2]
         assert d.total_weight == 8 == d.recomputed_weight(g)
 
     def test_out_of_range_member_rejected(self):
         with pytest.raises(ValueError):
             DominatingSet.from_members(path3(), [7])
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs(), st.data())
+def test_every_builder_holds_one_sorted_read_only_array(g, data):
+    picked = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    members = set(picked)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[picked] = True
+    probes = range(-1, g.n + 1)
+    for d in (DominatingSet.from_members(g, picked), DominatingSet.from_members(g, members),
+              DominatingSet.from_members(g, np.array(picked, dtype=np.int64)),
+              DominatingSet.from_mask(g, mask)):
+        assert d.vertices.dtype == np.int64 and not d.vertices.flags.writeable
+        assert d.vertices.tolist() == sorted(members) and len(d) == len(members)
+        assert d.total_weight == d.recomputed_weight(g)
+        assert [v in d for v in probes] == [v in members for v in probes]
+        assert ([coverage_count(g, d, v) for v in range(g.n)]
+                == [coverage_count(g, members, v) for v in range(g.n)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +321,7 @@ def test_coverage_counts_rejects_out_of_range_members(bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
         coverage_counts(g, {bad})
     with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
-        coverage_counts(g, DominatingSet({1, bad}, 0))
+        coverage_counts(g, DominatingSet(np.array([1, bad], dtype=np.int64), 0))
     with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
         DominatingSet.from_members(g, [1, bad])
 

@@ -87,7 +87,7 @@ class TestRepair:
 def repair_reference(inst, candidate):
     """The repair sweep as its own loop, before it became greedy S1's scan."""
     g = inst.graph
-    out = candidate.copy()
+    out = set(candidate.members)
     cover = coverage_counts(g, out)
     for v in range(g.n):
         short = inst.demand(v) - int(cover[v])
@@ -98,9 +98,9 @@ def repair_reference(inst, candidate):
             pool.append(v)
         pool.sort(key=lambda u: (g.weights[u], u))
         for u in pool[:short]:
-            out.add(g, u)
+            out.add(u)
             cover[g.closed_neighborhood(u)] += 1
-    return out
+    return DominatingSet.from_members(g, out)
 
 
 @pytest.mark.parametrize("family", ["er", "planted", "powerlaw"])
