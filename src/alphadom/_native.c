@@ -1,5 +1,7 @@
 /* The native kernels of alphadom, in C: Louvain's local-move phase, the
-   greedy fill scan, and the parser of edge lists and weight tables.
+   greedy fill scan, and the parser of edge lists and weight tables, which
+   hands over the vertex labels as one buffer of space-separated ASCII that
+   Python decodes and splits once.
 
    alphadom._native builds this file with the system C compiler on first use
    and calls it through ctypes; each kernel has a Python twin that is both
@@ -288,15 +290,25 @@ typedef struct {
     uint64_t head;
 } slot_t;
 
-/* The vertices parsed so far, with an open-addressing hash of their labels,
-   which are byte spans of text. */
+/* A vertex's label: its byte span of text, which the hash compares, and
+   its hash, to rehash when the hash grows. */
+typedef struct {
+    int64_t offset, length;
+    uint64_t hash;
+} label_t;
+
+/* The vertices parsed so far, with an open-addressing hash of their labels.
+   Each new label is also copied, with one space after it, to the end of
+   out, which then holds out_size bytes. */
 typedef struct {
     slot_t *slots;
     uint64_t mask;  /* capacity - 1; the capacity is a power of two */
     const unsigned char *text;
     int64_t n, max_vertices;
-    int64_t *offset, *length, *weight;
-    uint64_t *hash;  /* of every vertex, to rehash when growing */
+    label_t *label;
+    int64_t *weight;
+    char *out;
+    int64_t out_size;
 } vertices_t;
 
 #define VERTEX_BITS 40
@@ -313,8 +325,9 @@ static slot_t *find_slot(const vertices_t *t, const token_t *tok)
         if ((slot->key & ~VERTEX_MASK) != TAG(tok->hash) || slot->head != tok->head)
             continue;
         int64_t v = (int64_t)(slot->key & VERTEX_MASK) - 1;
-        if (tok->len < 8 || (t->length[v] == tok->len
-                             && memcmp(t->text + t->offset[v], tok->text, (size_t)tok->len) == 0))
+        if (tok->len < 8 || (t->label[v].length == tok->len
+                             && memcmp(t->text + t->label[v].offset, tok->text,
+                                       (size_t)tok->len) == 0))
             return slot;
     }
 }
@@ -326,10 +339,11 @@ static int64_t add_vertex(vertices_t *t, slot_t *slot, const token_t *tok, int64
     int64_t v = t->n;
     if (v == t->max_vertices)
         return INGEST_NO_ROOM;
-    t->offset[v] = tok->text - t->text;
-    t->length[v] = tok->len;
+    t->label[v] = (label_t){tok->text - t->text, tok->len, tok->hash};
     t->weight[v] = w;
-    t->hash[v] = tok->hash;
+    memcpy(t->out + t->out_size, tok->text, (size_t)tok->len);
+    t->out[t->out_size + tok->len] = ' ';
+    t->out_size += tok->len + 1;
     *slot = (slot_t){TAG(tok->hash) | (uint64_t)(v + 1), tok->head};
     t->n++;
     if ((uint64_t)t->n * 2 > t->mask) {  /* keep the load at most one half */
@@ -340,7 +354,7 @@ static int64_t add_vertex(vertices_t *t, slot_t *slot, const token_t *tok, int64
         for (uint64_t j = 0; j <= t->mask; j++) {
             if (t->slots[j].key == 0)
                 continue;
-            uint64_t i = t->hash[(t->slots[j].key & VERTEX_MASK) - 1] & mask;
+            uint64_t i = t->label[(t->slots[j].key & VERTEX_MASK) - 1].hash & mask;
             while (slots[i].key != 0)
                 i = (i + 1) & mask;
             slots[i] = t->slots[j];
@@ -442,17 +456,19 @@ static int64_t parse(vertices_t *t, const char *table, int64_t table_size,
 
    With a table, the vertices are its labels in table order, and an edge
    endpoint it does not list declines.  Without one, they are the edge
-   list's labels in order of first appearance, each of weight 1.  Vertex v's
-   label is the span of length[v] bytes at offset[v] of the table, or of
-   the edge list when there is no table, and its weight is weight[v].  ends
-   receives the two endpoints of every edge line in file order, repeats
-   included.  counts receives the vertex and edge counts.  The caller makes
-   room for max_vertices vertices and max_edges edges.  Returns INGEST_OK, a
+   list's labels in order of first appearance, each of weight 1.  labels
+   receives every vertex's label in index order, each followed by one space
+   (the labels are distinct, and hold no space), and weight[v] is vertex v's
+   weight.  ends receives the two endpoints of every edge line in file
+   order, repeats included.  counts receives the vertex count, the edge
+   count and the bytes written to labels.  The caller makes room for
+   max_vertices vertices, max_edges edges and, in labels, one byte more than
+   the table, or the edge list when there is no table: a label is a token of
+   that text, followed by a byte of it or by its end.  Returns INGEST_OK, a
    decline code, or an error. */
 int64_t alphadom_ingest(const char *table, int64_t table_size, const char *edges,
                         int64_t edge_size, int64_t max_vertices, int64_t max_edges,
-                        int64_t *offset, int64_t *length, int64_t *weight, int64_t *ends,
-                        int64_t *counts)
+                        int64_t *weight, char *labels, int64_t *ends, int64_t *counts)
 {
     const char *text = table != NULL ? table : edges;
     int64_t size = table != NULL ? table_size : edge_size, lines = 1;
@@ -465,18 +481,20 @@ int64_t alphadom_ingest(const char *table, int64_t table_size, const char *edges
     while (capacity < (uint64_t)lines * 2 && capacity <= VERTEX_MASK)
         capacity *= 2;
     vertices_t t = {calloc(capacity, sizeof(slot_t)), capacity - 1,
-                    (const unsigned char *)text, 0, max_vertices, offset, length, weight,
-                    malloc((size_t)(max_vertices > 0 ? max_vertices : 1) * sizeof(uint64_t))};
+                    (const unsigned char *)text, 0, max_vertices,
+                    malloc((size_t)(max_vertices > 0 ? max_vertices : 1) * sizeof(label_t)),
+                    weight, labels, 0};
     int64_t m = 0, status = INGEST_NO_MEMORY;
 
     if (max_vertices >= (int64_t)VERTEX_MASK)
         status = INGEST_NO_ROOM;
-    else if (t.slots != NULL && t.hash != NULL)
+    else if (t.slots != NULL && t.label != NULL)
         status = parse(&t, table, table_size, (const unsigned char *)edges, edge_size,
                        max_edges, ends, &m);
     counts[0] = t.n;
     counts[1] = m;
+    counts[2] = t.out_size;
     free(t.slots);
-    free(t.hash);
+    free(t.label);
     return status;
 }

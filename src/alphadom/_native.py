@@ -145,9 +145,10 @@ def ingest():
     (with a warning that says why).
 
     ``table`` (or None) and ``edges`` are the files' bytes.  ``labels`` are
-    the vertex labels as str, in table order or else in order of first
-    appearance; ``weights`` is an int64 array; ``ends`` holds the (m, 2)
-    endpoints of the edge lines in file order.  ``run`` returns None when
+    the distinct vertex labels as str, in table order or else in order of
+    first appearance, split from the one buffer the kernel writes them to;
+    ``weights`` is an int64 array; ``ends`` holds the (m, 2) endpoints of
+    the edge lines in file order.  ``run`` returns None when
     the kernel declines the input (see ``alphadom_ingest``), which is then
     left to the Python scanners of :mod:`alphadom.io`.
     """
@@ -157,36 +158,26 @@ def ingest():
         return None
     fn.restype = ctypes.c_int64
     fn.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
-                   ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 5]
+                   ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 4]
 
     def run(table: bytes | None, edges: bytes):
         text = edges if table is None else table
         # a token and the byte after it take two bytes or more, an edge line four
         max_vertices, max_edges = (len(text) + 1) // 2, (len(edges) + 1) // 4
-        offset, length, weight = (np.empty(max_vertices, dtype=np.int64) for _ in range(3))
+        weight = np.empty(max_vertices, dtype=np.int64)
+        buffer = np.empty(len(text) + 1, dtype=np.uint8)
         ends = np.empty((max_edges, 2), dtype=np.int64)
-        counts = np.zeros(2, dtype=np.int64)
+        counts = np.zeros(3, dtype=np.int64)
         status = fn(table, len(table or b""), edges, len(edges), max_vertices, max_edges,
-                    offset.ctypes.data, length.ctypes.data, weight.ctypes.data,
-                    ends.ctypes.data, counts.ctypes.data)
+                    weight.ctypes.data, buffer.ctypes.data, ends.ctypes.data,
+                    counts.ctypes.data)
         if status == -1:
             raise MemoryError("ingest parser: out of memory")
         if status < 0:
             raise RuntimeError("ingest parser: more vertices or edges than there was room for")
         if status > 0:
             return None
-        n, m = counts.tolist()
-        return _labels(text, offset[:n], length[:n]), weight[:n], ends[:m]
+        n, m, size = counts.tolist()
+        return buffer[:size].tobytes().decode("ascii").split(), weight[:n], ends[:m]
 
     return run
-
-
-def _labels(text: bytes, offset: np.ndarray, length: np.ndarray) -> list[str]:
-    """The ASCII labels at these byte spans of ``text``.  The byte after
-    each label is whitespace, or the end of the text, so the spans are
-    gathered with that byte and split apart again."""
-    span = length + 1
-    starts = np.cumsum(span) - span  # where each label begins in the gathered bytes
-    source = np.arange(int(span.sum())) + np.repeat(offset - starts, span)
-    padded = np.frombuffer(text + b" ", dtype=np.uint8)
-    return padded[source].tobytes().decode("ascii").split()

@@ -5,9 +5,15 @@ sorted int64 array of members built from a membership mask.  A graph's
 topology is held once, as CSR arrays (``indptr``, ``indices``) from which
 the closed neighbourhoods (A + I) that coverage and the LP read, induced
 subgraphs and, on first use, the tuple rows that Python loops read are all
-derived.  The coverage threshold of a vertex ``v`` is
-``ceil(alpha * (deg(v) + 1))`` and is computed with exact rational
-arithmetic, so a threshold never moves because of a float rounding artifact.
+derived.  :meth:`WeightedGraph.from_edges` builds the CSR arrays with one
+sort of the edge keys.  Labels are checked once, by the constructor or
+``from_edges``, and held as a :class:`_Labels`, which derived graphs and
+the file parsers (whose labels are distinct by construction) hand over
+without a second check; int64 weight arrays are checked in numpy.  The
+cached weight and demand arrays are read-only, like the CSR arrays.  The
+coverage threshold of a vertex ``v`` is ``ceil(alpha * (deg(v) + 1))`` and
+is computed with exact rational arithmetic, so a threshold never moves
+because of a float rounding artifact.
 """
 from __future__ import annotations
 
@@ -72,6 +78,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Labels(tuple):
+    """Vertex labels already known to be distinct strs: a graph adopts them
+    without converting or checking them again."""
+
+    __slots__ = ()
+
+
+def _checked_labels(labels: Sequence[str] | None, n: int) -> _Labels | None:
+    """The labels as strs, checked to be n distinct ones; a :class:`_Labels`
+    of length n is returned as it is."""
+    if labels is None or (type(labels) is _Labels and len(labels) == n):
+        return labels
+    labels = _Labels(map(str, labels))
+    if len(labels) != n:
+        raise ValueError("label count does not match vertex count")
+    if len(set(labels)) != n:
+        raise ValueError("vertex labels must be unique")
+    return labels
+
+
 class WeightedGraph:
     """Undirected simple graph with positive integer vertex weights.
 
@@ -118,32 +144,43 @@ class WeightedGraph:
         if not np.array_equal(keys, np.sort(mirrors)):
             k = int(np.argmax(~np.isin(mirrors, keys)))
             raise ValueError(f"edge {owner[k]}-{indices[k]} missing its mirror")
-        self._set(n, indptr, indices, weights, labels)
+        self._set(n, indptr, indices, weights, _checked_labels(labels, n))
 
     @classmethod
     def _from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray,
-                  weights: Sequence[int], labels: Sequence[str] | None) -> "WeightedGraph":
-        """A graph from CSR arrays already known to be sorted and symmetric."""
+                  weights: Sequence[int] | np.ndarray,
+                  labels: Sequence[str] | None) -> "WeightedGraph":
+        """A graph from CSR arrays already known to be sorted and symmetric.
+
+        Labels that are a :class:`_Labels` are proven distinct strs and are
+        adopted as they are; any other labels are checked as the
+        constructor checks them.
+        """
         g = cls.__new__(cls)
-        g._set(n, indptr, indices, weights, labels)
+        g._set(n, indptr, indices, weights, _checked_labels(labels, n))
         return g
 
-    def _set(self, n, indptr, indices, weights, labels) -> None:
-        try:
-            w = tuple(map(operator.index, weights))
-        except TypeError:
-            v, bad = next((v, x) for v, x in enumerate(weights) if not hasattr(x, "__index__"))
-            raise ValueError(f"weight {bad!r} of vertex {v} is not an integer") from None
-        if len(w) != n:
-            raise ValueError(f"{len(w)} weights for {n} vertices")
-        if w and min(w) < 1:
-            raise ValueError("vertex weights must be >= 1")
-        if labels is not None:
-            labels = tuple(map(str, labels))
-            if len(labels) != n:
-                raise ValueError("label count does not match vertex count")
-            if len(set(labels)) != n:
-                raise ValueError("vertex labels must be unique")
+    def _set(self, n, indptr, indices, weights, labels: _Labels | None) -> None:
+        array = None
+        if isinstance(weights, np.ndarray) and weights.dtype == np.int64 and weights.ndim == 1:
+            # checked in numpy; the graph keeps its own read-only copy
+            if len(weights) != n:
+                raise ValueError(f"{len(weights)} weights for {n} vertices")
+            if n and weights.min() < 1:
+                raise ValueError("vertex weights must be >= 1")
+            array = _frozen(weights.copy())
+            w = tuple(array.tolist())
+        else:
+            try:
+                w = tuple(map(operator.index, weights))
+            except TypeError:
+                v, bad = next((v, x) for v, x in enumerate(weights)
+                              if not hasattr(x, "__index__"))
+                raise ValueError(f"weight {bad!r} of vertex {v} is not an integer") from None
+            if len(w) != n:
+                raise ValueError(f"{len(w)} weights for {n} vertices")
+            if w and min(w) < 1:
+                raise ValueError("vertex weights must be >= 1")
         self.n = n
         self.indptr = _frozen(indptr)
         self.indices = _frozen(indices)
@@ -151,19 +188,20 @@ class WeightedGraph:
         self.labels: tuple[str, ...] | None = labels
         self._adjacency: tuple[tuple[int, ...], ...] | None = None
         self._label_index: dict[str, int] | None = None
-        self._weight_array: np.ndarray | None = None
+        self._weight_array: np.ndarray | None = array
         self._closed: tuple[np.ndarray, np.ndarray] | None = None
         self._partition = None  # set by community.louvain on its first call
         self._ranks: dict = {}  # strategy -> greedy.rank_order, filled on first use
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
-                   weights: Sequence[int] | None = None,
+                   weights: Sequence[int] | np.ndarray | None = None,
                    labels: Sequence[str] | None = None) -> "WeightedGraph":
         """Build a graph from (u, v) pairs, an iterable or an (m, 2) array;
         duplicate edges collapse.
 
-        Self-loops are rejected.  ``weights`` defaults to all ones.
+        Self-loops are rejected.  ``weights`` defaults to all ones; an int64
+        array of them is checked in numpy and copied, never modified.
         """
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         ends = _as_indices(pairs, n)
@@ -178,15 +216,14 @@ class WeightedGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             raise ValueError(f"self-loop at vertex {u}")
-        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-        # dedupe by sorting: numpy 2's np.unique hashes int64 keys, ~40x slower
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        lo, hi = keys // n, keys % n
-        both = np.sort(np.concatenate((keys, hi * n + lo)))
+        # each edge in both orientations as a key row * n + col, sorted once;
+        # dedupe by diff: numpy 2's np.unique hashes int64 keys, ~40x slower
+        both = np.sort(np.concatenate((a * n + b, b * n + a)))
+        both = both[np.diff(both, prepend=-1) != 0]
         rows = both // n
         if weights is None:
-            weights = [1] * n
-        return cls._from_csr(n, _indptr(np.bincount(rows, minlength=n)), both % n,
+            weights = np.ones(n, dtype=np.int64)
+        return cls._from_csr(n, _indptr(np.bincount(rows, minlength=n)), both - rows * n,
                              weights, labels)
 
     # -- basic accessors ----------------------------------------------------
@@ -223,10 +260,11 @@ class WeightedGraph:
         return zip(owners[upper].tolist(), self.indices[upper].tolist())
 
     def weight_array(self) -> np.ndarray:
-        """The weights as int64; ValueError names the first weight past that range."""
+        """The weights as a read-only int64 array, built once; ValueError
+        names the first weight past that range."""
         if self._weight_array is None:
             try:
-                self._weight_array = np.asarray(self.weights, dtype=np.int64)
+                self._weight_array = _frozen(np.asarray(self.weights, dtype=np.int64))
             except OverflowError:
                 limit = int(np.iinfo(np.int64).max)
                 v = next(v for v, w in enumerate(self.weights) if w > limit)
@@ -293,7 +331,7 @@ class WeightedGraph:
         local = np.cumsum(keep) - 1
         order = verts.tolist()
         weights = [self.weights[v] for v in order]
-        labels = None if self.labels is None else [self.labels[v] for v in order]
+        labels = None if self.labels is None else _Labels(map(self.labels.__getitem__, order))
         sub = WeightedGraph._from_csr(len(order), _indptr(np.bincount(rows, minlength=len(order))),
                                       local[cols[inside]], weights, labels)
         return sub, verts
@@ -329,13 +367,14 @@ class DominationInstance:
         distinct = np.flatnonzero(np.bincount(degrees))
         by_degree = np.zeros(len(distinct) and distinct[-1] + 1, dtype=np.int64)
         by_degree[distinct] = [-((-num * (d + 1)) // den) for d in distinct.tolist()]
-        self._demand_array = by_degree[degrees]
+        self._demand_array = _frozen(by_degree[degrees])
 
     def demand(self, v: int) -> int:
         """Required closed-neighborhood coverage of v; always in [1, deg(v) + 1]."""
         return int(self._demand_array[v])
 
     def demand_array(self) -> np.ndarray:
+        """Every vertex's demand, as a read-only int64 array."""
         return self._demand_array
 
     def __repr__(self) -> str:

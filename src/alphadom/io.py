@@ -25,7 +25,7 @@ from itertools import count
 from pathlib import Path
 
 from . import _native
-from .graph import DominatingSet, WeightedGraph
+from .graph import DominatingSet, WeightedGraph, _Labels
 
 
 class IngestError(ValueError):
@@ -109,7 +109,10 @@ def ingest_graph(edge_path, weight_path=None) -> WeightedGraph:
 
     Duplicate edge lines collapse to one edge; self-loops and malformed lines
     abort with the offending line number.  The C kernel parses the files;
-    the line scanners read them when it declines or cannot be built.
+    the line scanners read them when it declines or cannot be built.  Both
+    yield distinct str labels (a repeated table label is declined or an
+    error, and edge-only labels are hash keys), which the graph adopts
+    without checking them again.
     """
     table_data = Path(weight_path).read_bytes() if weight_path is not None else None
     edge_data = Path(edge_path).read_bytes()
@@ -117,7 +120,7 @@ def ingest_graph(edge_path, weight_path=None) -> WeightedGraph:
     parsed = native(table_data, edge_data) if native is not None else None
     if parsed is not None:
         labels, weights, ends = parsed
-        return WeightedGraph.from_edges(len(labels), ends, weights.tolist(), labels)
+        return WeightedGraph.from_edges(len(labels), ends, weights, _Labels(labels))
     table = None
     if table_data is not None:
         labels, weights = _scan_weight_table(weight_path, table_data)
@@ -125,7 +128,7 @@ def ingest_graph(edge_path, weight_path=None) -> WeightedGraph:
     index, ends = _scan_edges(edge_path, edge_data, table)
     if table is None:
         labels, weights = list(index), [1] * len(index)
-    return WeightedGraph.from_edges(len(labels), ends, weights, labels)
+    return WeightedGraph.from_edges(len(labels), ends, weights, _Labels(labels))
 
 
 def _labels_of(g: WeightedGraph, vertices) -> list[str]:

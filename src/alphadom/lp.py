@@ -84,15 +84,18 @@ class FractionalSolution:
 
 
 def build_lp(inst: DominationInstance) -> LinearProgram:
-    """One covering row per vertex, over its closed neighborhood (A + I)."""
+    """One covering row per vertex, over its closed neighborhood (A + I).
+
+    The program shares the graph's and the instance's read-only arrays.
+    """
     g = inst.graph
     indptr, indices = g.closed_csr()
     return LinearProgram(
         n_vars=g.n,
-        weights=g.weight_array().copy(),
+        weights=g.weight_array(),
         indptr=indptr,
         indices=indices,
-        bounds=inst.demand_array().copy(),
+        bounds=inst.demand_array(),
     )
 
 

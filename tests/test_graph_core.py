@@ -11,6 +11,7 @@ from alphadom import (DominatingSet, DominationInstance, WeightedGraph, as_alpha
                       connected_components, coverage_count, coverage_counts,
                       deficiency, gen_gnm, gen_planted_partition,
                       gen_powerlaw_cluster, graph_stats, is_feasible)
+from alphadom.lp import build_lp
 
 from .strategies import instances, weighted_graphs
 
@@ -96,6 +97,25 @@ class TestConstruction:
     def test_labels_must_be_unique(self):
         with pytest.raises(ValueError, match="unique"):
             WeightedGraph.from_edges(2, [(0, 1)], [1, 1], labels=["a", "a"])
+
+    @pytest.mark.parametrize("build", [
+        lambda labels: WeightedGraph([(1,), (0,), ()], [1, 1, 1], labels),
+        lambda labels: WeightedGraph.from_edges(3, [(0, 1)], [1, 1, 1], labels),
+        lambda labels: WeightedGraph.from_edges(3, np.array([[1, 0]]),
+                                                np.ones(3, dtype=np.int64), labels),
+    ], ids=["constructor", "from_edges", "from_edges-arrays"])
+    def test_both_builders_check_the_labels(self, build):
+        with pytest.raises(ValueError, match="^vertex labels must be unique$"):
+            build(["a", "b", "a"])
+        for labels in (["a", "b"], ["a", "b", "c", "d"], []):
+            with pytest.raises(ValueError, match="^label count does not match vertex count$"):
+                build(labels)
+        g = build([10, 2, "x"])
+        assert g.labels == ("10", "2", "x") and all(type(s) is str for s in g.labels)
+        assert build(None).labels is None
+        # the derived graphs hand their labels on unchanged
+        assert g.with_weights([4, 5, 6]).labels == g.labels
+        assert g.subgraph([2, 0])[0].labels == ("10", "x")
 
     def test_equality_round_trip(self):
         g = path3()
@@ -396,3 +416,63 @@ def test_representation_on_seeded_families(family, seed):
          "planted": lambda: gen_planted_partition(5, 40, 0.3, 0.02, seed),
          "powerlaw": lambda: gen_powerlaw_cluster(300, 3, 0.4, seed)}[family]()
     check_representation(g, np.random.default_rng(seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_edges_csr_matches_a_set_reference(data):
+    n = data.draw(st.integers(1, 12))
+    # (u, u + k mod n) with 0 < k < n: never a self-loop
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+                               .map(lambda e: (e[0], (e[0] + e[1]) % n)),
+                               max_size=40)) if n > 1 else []
+    # repeats and both orientations, as an (m, 2) array and as a list
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    pairs += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=20))
+              ] if pairs else []
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    lengths = [len(s) for s in nbrs]
+    for edges in (np.array(pairs, dtype=np.int64).reshape(-1, 2), pairs):
+        g = WeightedGraph.from_edges(n, edges)
+        assert g.indptr.tolist() == [sum(lengths[:v]) for v in range(n + 1)]
+        assert g.indices.tolist() == [u for s in nbrs for u in sorted(s)]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.weights == (1,) * n and all(type(w) is int for w in g.weights)
+
+
+def test_int64_weights_are_copied_not_frozen():
+    weights = np.array([3, 1, 2], dtype=np.int64)
+    g = WeightedGraph.from_edges(3, [(0, 1), (1, 2)], weights)
+    assert weights.flags.writeable
+    weights[0] = 9  # the graph holds its own copy
+    assert g.weights == (3, 1, 2) and all(type(w) is int for w in g.weights)
+    assert g.weight_array().tolist() == [3, 1, 2]
+    with pytest.raises(ValueError, match="^vertex weights must be >= 1$"):
+        WeightedGraph.from_edges(2, [(0, 1)], np.array([1, 0], dtype=np.int64))
+    with pytest.raises(ValueError, match="^3 weights for 2 vertices$"):
+        WeightedGraph.from_edges(2, [(0, 1)], np.array([1, 2, 3], dtype=np.int64))
+    # weights past int64 keep the Python-int path
+    big = WeightedGraph.from_edges(2, [(0, 1)], [2**70, 1])
+    assert big.weights == (2**70, 1)
+
+
+@pytest.mark.parametrize("weights", [[5, 1, 3], np.array([5, 1, 3], dtype=np.int64)],
+                         ids=["list", "int64"])
+def test_weight_and_demand_arrays_are_read_only_and_shared_by_the_lp(weights):
+    g = WeightedGraph.from_edges(3, [(0, 1), (1, 2)], weights)
+    inst = DominationInstance(g, Fraction(1, 2))
+    for arr in (g.weight_array(), inst.demand_array()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert g.weight_array().tolist() == [5, 1, 3] and inst.demand_array().tolist() == [1, 2, 1]
+    lp = build_lp(inst)
+    indptr, indices = g.closed_csr()
+    assert lp.n_vars == 3 and lp.weights is g.weight_array() and lp.bounds is inst.demand_array()
+    assert lp.indptr is indptr and lp.indices is indices
+    assert lp.weights.dtype == lp.bounds.dtype == np.int64
+    assert lp.weights.tolist() == [5, 1, 3] and lp.bounds.tolist() == [1, 2, 1]
+    assert lp.indptr.tolist() == [0, 2, 5, 7] and lp.indices.tolist() == [0, 1, 0, 1, 2, 1, 2]

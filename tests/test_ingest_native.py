@@ -7,13 +7,15 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphadom import IngestError, WeightedGraph, _native
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
-from alphadom.io import ingest_graph, write_edge_list, write_weight_table
+from alphadom.io import (_scan_edges, _scan_weight_table, ingest_graph, write_edge_list,
+                         write_weight_table)
 
 NATIVE = _native.ingest()
 needs_native = pytest.mark.skipif(NATIVE is None, reason="no C compiler to build the parser")
@@ -131,6 +133,41 @@ def test_labels_that_share_head_tag_and_slot_stay_apart():
     assert labels == [a, b] and weights.tolist() == [1, 2] and ends.tolist() == [[1, 0]]
     labels, weights, ends = NATIVE(None, f"{a} {b}\n".encode())
     assert labels == [a, b] and ends.tolist() == [[0, 1]]
+
+
+@needs_native
+@pytest.mark.parametrize("with_table", [True, False])
+def test_the_buffer_gives_the_scanners_labels(with_table):
+    # every label shares its first 8 bytes with another, and a short one sits
+    # between them; without a table the order is that of first appearance
+    labels = [f"vertex-{v:07d}" for v in (5, 3, 11, 4, 12)] + ["x", "vertex-0", "vertex-00"]
+    rng = np.random.default_rng(7)
+    lines = [(labels[u], labels[v]) for u, v in rng.integers(0, len(labels), (40, 2)) if u != v]
+    edges = "".join(f"{a}\t{b}\r\n" for a, b in lines).encode()
+    table = "".join(f"{s} {w}\n" for w, s in enumerate(labels, 1)).encode()
+    parsed, weights, _ = NATIVE(table if with_table else None, edges)
+    if with_table:
+        expected, expected_weights = _scan_weight_table("g.weights", table)
+    else:
+        expected = list(_scan_edges("g.edges", edges, None)[0])
+        expected_weights = [1] * len(expected)
+        assert expected == list(dict.fromkeys(s for line in lines for s in line))
+    assert parsed == expected and weights.tolist() == expected_weights
+
+
+@needs_native
+def test_c_scanner_and_from_edges_give_equal_graphs(tmp_path):
+    g = assign_weights(gen_gnm(2_000, 6_000, 61), WeightSpec(1, 10**15), 62)
+    g = WeightedGraph.from_edges(g.n, np.array(list(g.edges())), g.weights,
+                                 [f"vertex-{v:07d}" for v in range(g.n)])
+    write_edge_list(g, tmp_path / "g.edges")
+    write_weight_table(g, tmp_path / "g.weights")
+    c_graph, py_graph = ingest_both(tmp_path / "g.edges", tmp_path / "g.weights")
+    for h in (c_graph, py_graph, g):
+        assert h == g
+        assert all(type(w) is int for w in h.weights)
+        assert not h.weight_array().flags.writeable and h.weight_array().tolist() == list(h.weights)
+        assert isinstance(h.labels, tuple) and all(type(s) is str for s in h.labels)
 
 
 TABLE = "a 3\nb 1\r\nc 2\rd 5"

@@ -227,6 +227,18 @@ class TestRoundTrips:
         with pytest.raises(IngestError):
             read_graph_bundle(tmp_path / "bad.json")
 
+    @pytest.mark.parametrize("labels, message", [
+        (["a", "b", "a"], "vertex labels must be unique"),
+        (["a", "b"], "label count does not match vertex count"),
+    ])
+    def test_bundle_labels_are_checked(self, tmp_path, labels, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1]], "weights": [1, 2, 3],
+                                    "labels": labels}))
+        with pytest.raises(IngestError) as info:
+            read_graph_bundle(path)
+        assert str(info.value) == f"{path}: bad graph bundle: {message}"
+
     def test_solution_round_trip(self, tmp_path):
         g = WeightedGraph.from_edges(3, [(0, 1)], [5, 1, 3], labels=["x", "y", "z"])
         d = DominatingSet.from_members(g, [0, 2])
