@@ -148,9 +148,9 @@ def ingest():
     the distinct vertex labels as str, in table order or else in order of
     first appearance, split from the one buffer the kernel writes them to;
     ``weights`` is an int64 array; ``ends`` holds the (m, 2) endpoints of
-    the edge lines in file order.  ``run`` returns None when
-    the kernel declines the input (see ``alphadom_ingest``), which is then
-    left to the Python scanners of :mod:`alphadom.io`.
+    the edge lines in file order.  ``run`` returns None when the kernel
+    declines the input (see ``alphadom_ingest``), which is then left to the
+    Python scanners of :mod:`alphadom.io`.
     """
     fn = _kernel("alphadom_ingest",
                  "Edge lists and weight tables are parsed in Python, since the C parser")
