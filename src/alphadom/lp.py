@@ -4,15 +4,22 @@ The relaxation has one row per vertex, summing the membership variables of
 the closed neighborhood against the vertex demand, with every variable boxed
 to [0, 1].  The constraint matrix is A + I of the graph, kept sparse.
 
-:func:`solve_lp` hands the rows to HiGHS (Huangfu & Hall, Math. Prog. Comp.
-2018) through the solver object bundled with scipy, in one run that yields the
-vertex, the row duals and the iteration count.  Large programs with long rows
-go to HiGHS's interior-point solver with crossover, every other program to its
-dual simplex; both end at a vertex.  :func:`certify`
-checks a solution with those duals in exact rational arithmetic, using the
-safe dual bound of Neumaier & Shcherbina (Math. Prog. 2004), and runs no
-solver.  scipy is imported inside :func:`solve_lp`, so commands that never
-solve an LP do not pay for importing it.
+:func:`solve_lp` first fixes what the rows force, in O(nnz) numpy: a row
+whose bound equals its size is tight and fixes its variables at 1, rows
+whose bound that coverage meets are dropped, and a variable left in no row
+is fixed at 0 (the forcing-row and empty-column reductions of Andersen &
+Andersen, Math. Prog. 1995).  One pass is the fixpoint.  What is left goes to
+HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through the solver object
+bundled with scipy, in one run with presolve off that yields the vertex, the
+row duals and the iteration count; at alpha = 1, or on a graph of isolated
+vertices, no run starts.  Large programs with long rows, and large programs
+whose largest column meets half of the rows (a dominant hub), go to HiGHS's
+interior-point solver with crossover, every other program to its dual
+simplex; both end at a vertex.  :func:`certify` checks a solution with its
+duals in exact rational arithmetic, using the safe dual bound of Neumaier &
+Shcherbina (Math. Prog. 2004), and runs no solver.  scipy is imported
+inside :func:`solve_lp`, so commands that never solve an LP do not pay for
+importing it.
 """
 from __future__ import annotations
 
@@ -31,9 +38,20 @@ PRIMAL_DENOMINATOR = 10**6
 # it runs dual simplex.  Measured (README, "Notes on scale"): on dense random
 # and planted LPs the two are level near 6,000 nonzeros and IPM is 1.6-16x
 # faster from n=800 to 5000; on hub-heavy, near-integral LPs with rows of
-# 3-4 (mentions-like graphs, stars) IPM is 1.3-4.5x slower at every size.
+# 3-4 (mentions-like graphs at every size, stars of up to 10^4 leaves) IPM
+# is 1.3-8x slower.
 IPM_MIN_NONZEROS = 6000
 IPM_MIN_MEAN_ROW = 5
+# A program below that cut with at least IPM_HUB_MIN_NONZEROS nonzeros whose
+# largest column holds at least IPM_HUB_MIN_SHARE of them (a star's hub holds
+# a third) runs IPM + crossover too.  Measured on stars with x random
+# leaf-to-leaf edges per leaf (README): the dual simplex stalls on the hub
+# column of a 10^5-leaf star (x = 0: 4.1-7.4 s against 1.0-1.4 s; x = 1/4,
+# share 0.29: 1.2x slower), but is the faster from x = 1/2 (share 0.25) up,
+# on 10^4-leaf stars (share 1/3: 71 ms against 97 ms at alpha 1/4) and on
+# mentions-like LPs (largest column 1.4% of the nonzeros: 3-8x faster).
+IPM_HUB_MIN_NONZEROS = 50_000
+IPM_HUB_MIN_SHARE = 0.3
 
 
 class SimplexError(RuntimeError):
@@ -74,13 +92,14 @@ class LinearProgram:
 @dataclass(frozen=True)
 class FractionalSolution:
     """Optimal vertex of the relaxation, with the row duals, the iteration
-    count and the solver of the HiGHS run that found it."""
+    count and the solver of the HiGHS run that found it ("fixed" when the
+    forced variables left nothing to run)."""
 
     values: np.ndarray           # x, clipped to [0, 1]^n, no signed zeros
     objective_value: float
     iterations: int              # simplex + IPM + crossover iterations
     duals: np.ndarray            # one per row, nonnegative up to rounding
-    backend: str                 # "simplex" or "ipm" (with crossover)
+    backend: str                 # "simplex", "ipm" (with crossover) or "fixed"
 
 
 def build_lp(inst: DominationInstance) -> LinearProgram:
@@ -100,25 +119,102 @@ def build_lp(inst: DominationInstance) -> LinearProgram:
 
 
 def solve_lp(lp: LinearProgram) -> FractionalSolution:
-    """Optimal vertex of the relaxation, from one HiGHS run.
+    """Optimal vertex of the relaxation: forced variables fixed first, the
+    rest from at most one HiGHS run.
 
-    The CSR rows go to HiGHS row-wise, with only its log switched off and,
-    for a program past the cut above, the IPM solver with crossover.  Raises
-    :class:`SimplexError`, naming n, the iterations reached, the solver and
-    the model status, when HiGHS reports anything but an optimum, or when
+    A row whose bound equals its size is tight and fixes each of its
+    variables at 1.  Every row then loses the coverage of those variables,
+    a row whose bound falls to 0 is dropped, and a variable left in no row
+    is fixed at 0 (weights are nonnegative).  One pass reaches the fixpoint:
+    fixing f variables of a row lowers its bound and its size by f each, so
+    a row that was not tight does not become tight.  What is left goes to
+    HiGHS row-wise, with presolve off (it found nothing to reduce on the
+    programs measured and cost 10-40% of their solve), on the solver that
+    the reduced program's shape picks (:func:`_backend`).  When no row is
+    left no run starts: ``backend`` reads "fixed" and ``iterations`` 0.
+
+    The duals are the reduced program's for its rows, 0 for a dropped row,
+    and for a tight row the largest max(0, w_j - (A^T y)_j) over its
+    variables, with y the kept rows' duals.  Every fixed-at-1 variable then
+    has a nonpositive reduced cost, and the safe bound of :func:`certify`
+    is the reduced program's bound plus the fixed weight.
+
+    Raises :class:`SimplexError`, naming n, the iterations reached, the
+    solver, the model status and, where HiGHS's info is valid, the largest
+    primal residual, when HiGHS reports anything but an optimum, or when
     crossover leaves no valid basis (the point would not be a vertex).
     """
     m, n = len(lp.bounds), lp.n_vars
-    if m == 0 or n == 0:
-        return FractionalSolution(np.zeros(n), 0.0, 0, np.zeros(m), "simplex")
+    sizes = np.diff(lp.indptr)
+    tight = lp.bounds == sizes
+    if m and not tight.any():
+        values, duals, iterations, backend = _run_highs(lp, n)  # nothing to fix
+    else:
+        values, duals, iterations, backend = _fix_and_solve(lp, sizes, tight)
+    return FractionalSolution(values, float(lp.weights.astype(float) @ values), iterations,
+                              duals, backend)
+
+
+def _fix_and_solve(lp: LinearProgram, sizes: np.ndarray,
+                   tight: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """:func:`solve_lp` on a program with tight rows (or none at all): fix,
+    reduce, solve what is left, and set the duals of the tight rows."""
+    m, n = len(lp.bounds), lp.n_vars
+    row_of = np.repeat(np.arange(m), sizes)
+    in_tight = tight[row_of]
+    forced = np.zeros(n, dtype=bool)
+    forced[lp.indices[in_tight]] = True
+    hit = forced[lp.indices]
+    need = lp.bounds - np.bincount(row_of[hit], minlength=m)
+    kept = need > 0
+    stays = kept[row_of] & ~hit                  # the entries HiGHS sees
+    free = np.zeros(n, dtype=bool)
+    free[lp.indices[stays]] = True
+
+    values, duals = forced.astype(float), np.zeros(m)
+    if not kept.any():
+        iterations, backend = 0, "fixed"
+    else:
+        column = np.cumsum(free) - 1
+        reduced = LinearProgram(
+            n_vars=int(column[-1]) + 1,
+            weights=lp.weights[free],
+            indptr=np.concatenate(([0], np.cumsum(np.bincount(row_of[stays],
+                                                              minlength=m)[kept]))),
+            indices=column[lp.indices[stays]],
+            bounds=need[kept])
+        values[free], duals[kept], iterations, backend = _run_highs(reduced, n)
+    # a tight row was dropped (its need is 0), so its dual is 0 until here
+    aty = np.bincount(lp.indices, weights=np.maximum(duals, 0.0)[row_of], minlength=n)
+    np.maximum.at(duals, row_of[in_tight],
+                  np.maximum(lp.weights - aty, 0.0)[lp.indices[in_tight]])
+    return values, duals, iterations, backend
+
+
+def _backend(lp: LinearProgram) -> str:
+    """The HiGHS solver for ``lp``: "ipm" (with crossover) past the size cut
+    or for a dominant hub, "simplex" otherwise."""
     nnz = len(lp.indices)
-    backend = "ipm" if nnz >= IPM_MIN_NONZEROS and nnz >= IPM_MIN_MEAN_ROW * m else "simplex"
+    if nnz >= IPM_MIN_NONZEROS and nnz >= IPM_MIN_MEAN_ROW * len(lp.bounds):
+        return "ipm"
+    if nnz >= IPM_HUB_MIN_NONZEROS and \
+            np.bincount(lp.indices, minlength=lp.n_vars).max() >= IPM_HUB_MIN_SHARE * nnz:
+        return "ipm"
+    return "simplex"
+
+
+def _run_highs(lp: LinearProgram, n_named: int) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """(values, row duals, iterations, backend) of one HiGHS run on ``lp``,
+    which has at least one row, with presolve off; a failure names
+    ``n_named`` variables, those of the program before its reduction."""
+    m, n = len(lp.bounds), lp.n_vars
+    nnz = len(lp.indices)
+    backend = _backend(lp)
 
     from scipy.optimize._highspy import _core as highs
-    c = lp.weights.astype(float)
     model = highs.HighsLp()
     model.num_col_, model.num_row_ = n, m
-    model.col_cost_ = c
+    model.col_cost_ = lp.weights.astype(float)
     model.col_lower_, model.col_upper_ = np.zeros(n), np.ones(n)
     model.row_lower_, model.row_upper_ = lp.bounds.astype(float), np.full(m, highs.kHighsInf)
     matrix = model.a_matrix_
@@ -128,6 +224,7 @@ def solve_lp(lp: LinearProgram) -> FractionalSolution:
 
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("presolve", "off")
     if backend == "ipm":
         solver.setOptionValue("solver", "ipm")
         solver.setOptionValue("run_crossover", "on")
@@ -145,12 +242,13 @@ def solve_lp(lp: LinearProgram) -> FractionalSolution:
     else:
         failure = None
     if failure:
-        raise SimplexError(f"HiGHS found no optimum for n={n} after {iterations} "
-                           f"{backend} iterations: {failure}")
+        residual = (f", largest primal residual {info.max_primal_infeasibility:g}"
+                    if info.valid else "")
+        raise SimplexError(f"HiGHS found no optimum for n={n_named} after {iterations} "
+                           f"{backend} iterations: {failure}{residual}")
     solution = solver.getSolution()
     values = np.clip(solution.col_value, 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
-    return FractionalSolution(values, float(c @ values), iterations,
-                              np.asarray(solution.row_dual), backend)
+    return values, np.asarray(solution.row_dual), iterations, backend
 
 
 @dataclass(frozen=True)

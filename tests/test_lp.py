@@ -13,6 +13,7 @@ from alphadom.bench import derive_seed
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm, gen_planted_partition
 
 from .strategies import instances
+from .test_louvain_reference import perfbench_graphs  # noqa: F401  (a fixture)
 
 
 def solve_instance(g, alpha):
@@ -129,6 +130,7 @@ def force_backend(monkeypatch, backend):
         monkeypatch.setattr(lp_module, "IPM_MIN_MEAN_ROW", 0)
     else:
         monkeypatch.setattr(lp_module, "IPM_MIN_NONZEROS", float("inf"))
+        monkeypatch.setattr(lp_module, "IPM_HUB_MIN_NONZEROS", float("inf"))
 
 
 def mentions_like(n, seed):
@@ -201,12 +203,51 @@ class TestSolverCut:
         for verts in communities:
             assert backend(planted.subgraph(verts)[0]) == "simplex"
 
-    def test_ipm_route_when_presolve_solves_the_lp(self):
-        # at alpha 1 every row forces its whole neighbourhood: HiGHS's presolve
-        # fixes every variable, and that still counts as a vertex
+    def test_a_dominant_hub_routes_to_ipm(self):
+        def star(leaves, leaf_edges=0):
+            rng = np.random.default_rng(leaves)
+            ends = rng.integers(1, leaves + 1, size=(leaf_edges, 2))
+            edges = np.concatenate([[(0, v) for v in range(1, leaves + 1)],
+                                    ends[ends[:, 0] != ends[:, 1]]])
+            return assign_weights(WeightedGraph.from_edges(leaves + 1, edges),
+                                  WeightSpec(1, 71), 1)
+
+        def route(g, alpha=Fraction(1, 2)):
+            lp = build_lp(DominationInstance(g, alpha))
+            assert not np.any(lp.bounds == np.diff(lp.indptr))  # HiGHS sees all of it
+            return lp_module._backend(lp)
+
+        assert solve_lp(build_lp(DominationInstance(star(30_000), Fraction(1, 2)))).backend \
+            == "ipm"
+        assert route(star(100_000)) == route(star(100_000), Fraction(1, 4)) == "ipm"
+        # one leaf-to-leaf edge per leaf: the hub holds a fifth of the
+        # nonzeros, and the simplex is the faster again
+        assert route(star(100_000, 100_000)) == "simplex"
+        for n in (10_000, 100_000):
+            assert route(mentions_like(n, 7), Fraction(1, 4)) == "simplex"
+            assert route(mentions_like(n, 7)) == "simplex"
+
+    def test_benchmark_programs_keep_their_routes(self, perfbench_graphs):
+        # no benchmark program has a tight row at its alphas, so HiGHS sees
+        # each one whole, and on the route it took before
+        routes = {"er800": "ipm", "plp10x100": "ipm", "mentions500": "simplex"}
+        alphas = {"er800": (Fraction(1, 4), Fraction(1, 2)), "plp10x100": (Fraction(1, 4),),
+                  "mentions500": (Fraction(1, 4), Fraction(1, 2))}
+        for name, g in perfbench_graphs.items():
+            communities = [g.subgraph(c)[0] for c in louvain(g).communities() if len(c) > 1]
+            for alpha in alphas[name]:
+                for sub, expected in [(g, routes[name])] + [(c, "simplex") for c in communities]:
+                    lp = build_lp(DominationInstance(sub, alpha))
+                    assert not np.any(lp.bounds == np.diff(lp.indptr))
+                    assert lp_module._backend(lp) == expected
+
+    def test_alpha_one_starts_no_highs_run(self, monkeypatch):
+        # at alpha 1 every row is tight and forces its whole neighbourhood,
+        # so every variable is fixed before HiGHS could run
+        runs = patch_highs(monkeypatch)
         g = assign_weights(gen_gnm(800, 8000, 3), WeightSpec(1, 71), 4)
         sol = solve_lp(build_lp(DominationInstance(g, 1)))
-        assert sol.backend == "ipm"
+        assert runs == [] and sol.backend == "fixed" and sol.iterations == 0
         assert np.array_equal(sol.values, np.ones(800))
         assert sol.objective_value == sum(g.weights)
 
@@ -317,6 +358,16 @@ class TestExactVerification:
                            match=r"n=40 after 1 simplex iterations: Iteration limit reached"):
             solve_lp(build_lp(DominationInstance(g, Fraction(1, 2))))
 
+    def test_failed_solve_names_the_residual(self, monkeypatch):
+        # a simplex-routed LP stopped after one iteration: HiGHS's info is
+        # valid there, and its largest primal infeasibility reads 16
+        patch_highs(monkeypatch, simplex_iteration_limit=1)
+        g = assign_weights(gen_gnm(200, 2000, 3), WeightSpec(1, 71), 4)
+        with pytest.raises(SimplexError, match=r"n=200 after 1 simplex iterations: "
+                                               r"Iteration limit reached, "
+                                               r"largest primal residual 16$"):
+            solve_lp(build_lp(DominationInstance(g, Fraction(1, 2))))
+
     @settings(max_examples=40, deadline=None)
     @given(instances(max_n=9))
     def test_lp_never_exceeds_integer_optimum(self, inst):
@@ -331,3 +382,108 @@ def test_lp_text_format():
     assert "Minimize" in text and "Subject To" in text and "End" in text
     assert " c0: x0 + x1 >= 1" in text
     assert " 0 <= x1 <= 1" in text
+
+
+def loop_until_stable(lp):
+    """Reference fixing, repeated until no row is tight: (forced columns,
+    kept rows, their needs, free columns), from Python sets."""
+    rows = [set(r.tolist()) for r in lp.rows]
+    forced = set()
+    while True:
+        kept = [i for i, r in enumerate(rows) if lp.bounds[i] - len(r & forced) > 0]
+        tight = [i for i in kept if lp.bounds[i] - len(rows[i] & forced) == len(rows[i] - forced)]
+        if not tight:
+            break
+        for i in tight:
+            forced |= rows[i]
+    needs = [int(lp.bounds[i]) - len(rows[i] & forced) for i in kept]
+    free = set().union(*(rows[i] - forced for i in kept))
+    return forced, kept, needs, free
+
+
+def isolated_heavy(n, seed):
+    """G(n, n // 2) with weights 1..71: about a third of its vertices are
+    isolated, and each isolated vertex's row is tight at every alpha."""
+    return assign_weights(gen_gnm(n, n // 2, seed), WeightSpec(1, 71), seed + 1)
+
+
+class TestForcedVariables:
+    @staticmethod
+    def handed_to_highs(monkeypatch, lp):
+        """solve_lp(lp) and the programs it handed to HiGHS."""
+        handed, real = [], lp_module._run_highs
+
+        def recorded(reduced, n_named):
+            handed.append(reduced)
+            return real(reduced, n_named)
+
+        monkeypatch.setattr(lp_module, "_run_highs", recorded)
+        return solve_lp(lp), handed
+
+    def check_against_loop(self, monkeypatch, lp):
+        sol, handed = self.handed_to_highs(monkeypatch, lp)
+        forced, kept, needs, free = loop_until_stable(lp)
+        assert np.all(sol.values[sorted(forced)] == 1.0)
+        assert np.all(sol.values[sorted(set(range(lp.n_vars)) - forced - free)] == 0.0)
+        if not kept:
+            assert handed == [] and sol.backend == "fixed" and sol.iterations == 0
+            return
+        (reduced,) = handed
+        columns = np.array(sorted(free), dtype=np.int64)
+        assert np.array_equal(reduced.weights, lp.weights[columns])
+        assert reduced.bounds.tolist() == needs
+        assert [columns[r].tolist() for r in reduced.rows] \
+            == [sorted(set(lp.rows[i].tolist()) - forced) for i in kept]
+        # one pass reached the fixpoint: no row of the reduced program is tight
+        assert np.all(reduced.bounds < np.diff(reduced.indptr))
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=12))
+    def test_one_pass_fixes_what_a_loop_fixes(self, inst):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check_against_loop(monkeypatch, build_lp(inst))
+
+    @pytest.mark.parametrize("g, alpha", [(mentions_like(500, 7), Fraction(3, 4)),
+                                          (isolated_heavy(300, 3), Fraction(1, 2))])
+    def test_one_pass_on_graphs_with_tight_rows(self, monkeypatch, g, alpha):
+        self.check_against_loop(monkeypatch, build_lp(DominationInstance(g, alpha)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances(max_n=9))
+    def test_objective_matches_the_unreduced_run(self, inst):
+        lp = build_lp(inst)
+        sol = solve_lp(lp)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            patch_highs(monkeypatch, presolve="on")
+            values = lp_module._run_highs(lp, lp.n_vars)[0]
+        unreduced = float(lp.weights.astype(float) @ values)
+        assert abs(sol.objective_value - unreduced) <= 1e-9 * max(1.0, unreduced)
+        opt = brute_force_opt(inst).opt_weight
+        assert sol.objective_value <= opt + 1e-9 * max(1, opt)
+
+    def test_isolated_vertices_only_start_no_run(self, monkeypatch):
+        runs = patch_highs(monkeypatch)
+        g = WeightedGraph.from_edges(4, [], [3, 1, 4, 1])
+        for alpha in (Fraction(1, 4), Fraction(1, 2), 1):
+            sol = solve_lp(build_lp(DominationInstance(g, alpha)))
+            assert np.array_equal(sol.values, np.ones(4)) and sol.objective_value == 9
+            assert sol.backend == "fixed" and sol.iterations == 0
+        assert runs == []
+
+    @pytest.mark.parametrize("g, alpha", [(mentions_like(500, 7), Fraction(3, 4)),
+                                          (mentions_like(500, 8), Fraction(3, 4)),
+                                          (isolated_heavy(500, 5), Fraction(1, 4)),
+                                          (isolated_heavy(500, 5), Fraction(1, 2))])
+    def test_tight_row_duals_keep_the_bound_exact(self, g, alpha):
+        lp, sol = solve_instance(g, alpha)
+        assert np.any(lp.bounds == np.diff(lp.indptr)) and sol.backend != "fixed"
+        bound = float(certify(lp, sol).lower_bound)
+        assert abs(bound - sol.objective_value) <= 1e-9 * sol.objective_value
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_programs_with_tight_rows_are_certified(self, seed):
+        for g, alpha in ((mentions_like(150, seed), Fraction(3, 4)),
+                         (isolated_heavy(150, seed), Fraction(1, 2))):
+            lp, sol = solve_instance(g, alpha)
+            assert np.any(lp.bounds == np.diff(lp.indptr))
+            assert certify(lp, sol).certified
