@@ -212,23 +212,23 @@ def _run_highs(lp: LinearProgram, n_named: int) -> tuple[np.ndarray, np.ndarray,
     backend = _backend(lp)
 
     from scipy.optimize._highspy import _core as highs
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_ = n, m
-    model.col_cost_ = lp.weights.astype(float)
-    model.col_lower_, model.col_upper_ = np.zeros(n), np.ones(n)
-    model.row_lower_, model.row_upper_ = lp.bounds.astype(float), np.full(m, highs.kHighsInf)
-    matrix = model.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kRowwise  # HiGHS takes its shape from the model
-    matrix.start_, matrix.index_ = lp.indptr, lp.indices
-    matrix.value_ = np.ones(nnz)
-
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.setOptionValue("presolve", "off")
     if backend == "ipm":
         solver.setOptionValue("solver", "ipm")
         solver.setOptionValue("run_crossover", "on")
-    solver.passModel(model)
+    # the array form of passModel reads numpy buffers; a HighsLp built field
+    # by field converts every entry through Python (0.4 ms on 2,000 nonzeros).
+    # Its last argument marks every column continuous.
+    passed = solver.passModel(n, m, nnz, int(highs.MatrixFormat.kRowwise),
+                              int(highs.ObjSense.kMinimize), 0.0, lp.weights.astype(float),
+                              np.zeros(n), np.ones(n), lp.bounds.astype(float),
+                              np.full(m, highs.kHighsInf), lp.indptr.astype(np.int32),
+                              lp.indices.astype(np.int32), np.ones(nnz),
+                              np.zeros(n, dtype=np.int32))
+    if passed == highs.HighsStatus.kError:
+        raise SimplexError(f"HiGHS rejected the program for n={n_named}")
     run_status = solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()

@@ -294,7 +294,7 @@ def patch_highs(monkeypatch, **options):
     return runs
 
 
-@pytest.mark.parametrize("path", ["_Highs", "HighsLp", "MatrixFormat.kRowwise",
+@pytest.mark.parametrize("path", ["_Highs", "ObjSense.kMinimize", "MatrixFormat.kRowwise",
                                   "HighsModelStatus.kOptimal", "HighsStatus.kError",
                                   "kHighsInf", "kBasisValidityValid"])
 def test_private_highs_api_is_present(path):
@@ -357,6 +357,13 @@ class TestExactVerification:
         with pytest.raises(SimplexError,
                            match=r"n=40 after 1 simplex iterations: Iteration limit reached"):
             solve_lp(build_lp(DominationInstance(g, Fraction(1, 2))))
+
+    def test_a_program_highs_rejects_is_an_error(self):
+        # a column index past n_vars; the row's bound of 0 leaves it unfixed
+        lp = lp_module.LinearProgram(1, np.array([1]), np.array([0, 1]), np.array([5]),
+                                     np.array([0]))
+        with pytest.raises(SimplexError, match=r"HiGHS rejected the program for n=1$"):
+            solve_lp(lp)
 
     def test_failed_solve_names_the_residual(self, monkeypatch):
         # a simplex-routed LP stopped after one iteration: HiGHS's info is
