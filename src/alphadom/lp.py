@@ -81,6 +81,8 @@ class LinearProgram:
         if len(over):
             i = int(over[0])
             raise ValueError(f"row {i}: bound {self.bounds[i]} exceeds row size {sizes[i]}")
+        if len(self.indices) and not 0 <= self.indices.min() <= self.indices.max() < self.n_vars:
+            raise ValueError(f"a variable index lies outside [0, {self.n_vars})")
 
     @property
     def rows(self) -> list[np.ndarray]:

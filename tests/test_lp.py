@@ -30,6 +30,13 @@ class TestBuildLp:
         assert list(lp.bounds) == [1, 1]
         assert list(lp.weights) == [2, 7]
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_variable_index_out_of_range_is_rejected(self, index):
+        # a tight row would fix the variable it names: -1 would wrap to the last
+        with pytest.raises(ValueError, match=r"variable index lies outside \[0, 2\)"):
+            lp_module.LinearProgram(2, np.array([1, 1]), np.array([0, 1]), np.array([index]),
+                                    np.array([1]))
+
     def test_isolated_vertex_row(self):
         g = WeightedGraph.from_edges(1, [], [3])
         lp = build_lp(DominationInstance(g, Fraction(1, 4)))
@@ -358,8 +365,10 @@ class TestExactVerification:
                            match=r"n=40 after 1 simplex iterations: Iteration limit reached"):
             solve_lp(build_lp(DominationInstance(g, Fraction(1, 2))))
 
-    def test_a_program_highs_rejects_is_an_error(self):
-        # a column index past n_vars; the row's bound of 0 leaves it unfixed
+    def test_a_program_highs_rejects_is_an_error(self, monkeypatch):
+        # a row HiGHS cannot read: its index past n_vars (the check that
+        # LinearProgram makes is skipped here); a bound of 0 leaves it unfixed
+        monkeypatch.setattr(lp_module.LinearProgram, "__post_init__", lambda self: None)
         lp = lp_module.LinearProgram(1, np.array([1]), np.array([0, 1]), np.array([5]),
                                      np.array([0]))
         with pytest.raises(SimplexError, match=r"HiGHS rejected the program for n=1$"):
