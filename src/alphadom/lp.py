@@ -13,13 +13,13 @@ HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through the solver object
 bundled with scipy, in one run with presolve off that yields the vertex, the
 row duals and the iteration count; at alpha = 1, or on a graph of isolated
 vertices, no run starts.  Large programs with long rows, and large programs
-whose largest column meets half of the rows (a dominant hub), go to HiGHS's
-interior-point solver with crossover, every other program to its dual
-simplex; both end at a vertex.  :func:`certify` checks a solution with its
-duals in exact rational arithmetic, using the safe dual bound of Neumaier &
-Shcherbina (Math. Prog. 2004), and runs no solver.  scipy is imported
-inside :func:`solve_lp`, so commands that never solve an LP do not pay for
-importing it.
+with one column holding 0.3 of the nonzeros (a dominant hub, as in a star),
+go to HiGHS's interior-point solver with crossover, every other program to
+its dual simplex; both end at a vertex.  :func:`certify` checks a solution
+with its duals in exact rational arithmetic, using the safe dual bound of
+Neumaier & Shcherbina (Math. Prog. 2004), and runs no solver.  scipy is
+imported inside :func:`solve_lp`, so commands that never solve an LP do not
+pay for importing it.
 """
 from __future__ import annotations
 
@@ -159,7 +159,7 @@ def solve_lp(lp: LinearProgram) -> FractionalSolution:
 
 def _fix_and_solve(lp: LinearProgram, sizes: np.ndarray,
                    tight: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """:func:`solve_lp` on a program with tight rows (or none at all): fix,
+    """:func:`solve_lp` on a program with a tight row or with no rows: fix,
     reduce, solve what is left, and set the duals of the tight rows."""
     m, n = len(lp.bounds), lp.n_vars
     row_of = np.repeat(np.arange(m), sizes)
