@@ -4,24 +4,29 @@ The partitioned solver cuts the graph into communities, solves the covering
 relaxation and rounds it inside each community independently (demands are
 recomputed on the induced subgraph so every local program is feasible in
 isolation), unions the per-community picks, and finishes with the global
-repair sweep so cross-community demands are honored.  The community LPs run
-on up to min(available CPUs, number of LPs) threads, since HiGHS releases
-the GIL while it solves; the result does not depend on the thread count.
+repair sweep so cross-community demands are honored.  Every community's
+program is cut from the closed CSR rows (A + I) of the whole graph in one
+pass, and rounded on those same rows.  The community LPs run on up to
+min(available CPUs, number of LPs) threads, since HiGHS releases the GIL
+while it solves; the result does not depend on the thread count.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from . import _native
-from .graph import DominatingSet, DominationInstance, WeightedGraph
-from .lp import build_lp, solve_lp
-from .rounding import default_max_rounds, repair, round_until_feasible
-# Not called here, but perfbench/tracer.py POINTS wraps both by their names in
+from .graph import DominatingSet, DominationInstance, WeightedGraph, _indptr, demands
+from .lp import LinearProgram, solve_lp
+from .rounding import default_max_rounds, repair, round_rows
+# Not called here, but perfbench/tracer.py POINTS wraps these by their names in
 # this module, and a name that does not resolve fails the traced run's check.
+from .lp import build_lp  # noqa: F401
 from .rounding import is_feasible, round_once  # noqa: F401
 
 _GAIN_TOL = 1e-12  # the least rise in modularity that earns another level
@@ -246,18 +251,64 @@ def _pool_size(lps: int) -> int:
     return max(1, min(cpus, lps))
 
 
+def community_programs(g: WeightedGraph, alpha: Fraction,
+                       part: Partition) -> Iterator[tuple[int, np.ndarray, LinearProgram]]:
+    """(community id, its vertices, its covering program) for every community
+    of more than one vertex, in id order; the program is the one
+    ``build_lp(DominationInstance(g.subgraph(vertices)[0], alpha))`` builds.
+
+    All of them come from one pass over the closed CSR rows (A + I) of
+    ``g``.  Vertices are ordered stably by community id, and the entries
+    whose two ends share a community are kept and renumbered to indices
+    local to it, in ascending vertex order.  Row v then holds N_c[v], the
+    closed neighbourhood inside v's community, and demands
+    ceil(alpha * |N_c[v]|).  Each program is a set of slices of those arrays.
+    """
+    community_of = np.asarray(part.community_of, dtype=np.int64)
+    indptr, indices = g.closed_csr()
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    inside = community_of[rows] == community_of[indices]
+    rows, cols = rows[inside], indices[inside]
+    order = np.argsort(community_of, kind="stable")
+    starts = _indptr(np.bincount(community_of, minlength=part.k))
+    local = np.empty(g.n, dtype=np.int64)
+    local[order] = np.arange(g.n) - starts[community_of[order]]
+    sizes = np.bincount(rows, minlength=g.n)[order]  # |N_c[v]|, in community order
+    row_ptr = _indptr(sizes)
+    entries = local[cols[np.argsort(community_of[rows], kind="stable")]]
+    bounds = demands(alpha, sizes)
+    try:
+        weights = g.weight_array()[order]
+    except ValueError:
+        # a singleton enters no program, so only it may weigh past int64;
+        # any other such vertex raises, named, as rr's program does
+        alone = (np.diff(starts) == 1)[community_of].tolist()
+        weights = g.with_weights([1 if a else w for a, w in zip(alone, g.weights)]) \
+            .weight_array()[order]
+    starts = starts.tolist()
+    for c in range(part.k):
+        s, e = starts[c], starts[c + 1]
+        if e - s > 1:
+            a, b = int(row_ptr[s]), int(row_ptr[e])
+            yield c, order[s:e], LinearProgram(e - s, weights[s:e], row_ptr[s:e + 1] - a,
+                                               entries[a:b], bounds[s:e])
+
+
 def community_rounding(inst: DominationInstance, seed: int,
                        partition: Partition | None = None) -> DominatingSet:
     """Divide-and-conquer randomized rounding over detected communities.
 
     Communities come from :func:`louvain` unless a precomputed ``partition``
-    is supplied.  Each is solved as its own induced instance and rounded by
-    :func:`alphadom.rounding.round_until_feasible`, the pass loop of ``rr``,
-    with ``default_rng([seed, community id])`` and the pass budget of the
-    whole graph.  The union of the local picks goes through the global repair
-    sweep, so the result is feasible on the full graph for every seed.
+    is supplied.  Each community of more than one vertex gets its own
+    covering program (:func:`community_programs`), solved by
+    :func:`alphadom.lp.solve_lp` and rounded on its rows by
+    :func:`alphadom.rounding.round_rows`, the pass loop of ``rr``, with
+    ``default_rng([seed, community id])`` and the pass budget of the whole
+    graph; a singleton is picked.  The union of the local picks goes through
+    the global repair sweep, so the result is feasible on the full graph for
+    every seed.
 
-    Each community LP is handed to a thread pool as soon as it is built, and
+    Each community LP is handed to a thread pool as soon as it is cut, and
     the rounding then takes the solutions in community-id order, so the set
     is the one a sequential loop would give.
     """
@@ -265,21 +316,16 @@ def community_rounding(inst: DominationInstance, seed: int,
     part = partition if partition is not None else louvain(g)
     _check_covers(g, part)
     rounds = default_max_rounds(g)  # max degree of the whole graph, not the community
-    communities = part.communities()
-    picked = np.zeros(g.n, dtype=bool)
-    # the induced demand of a singleton is 1: itself
-    picked[[verts[0] for verts in communities if len(verts) == 1]] = True
-    blocks = [(cid, verts) for cid, verts in enumerate(communities) if len(verts) > 1]
+    community_of = np.asarray(part.community_of, dtype=np.int64)
+    sizes = np.bincount(community_of, minlength=part.k)
+    picked = sizes[community_of] == 1  # a singleton's own demand is 1: itself
 
-    with ThreadPoolExecutor(max_workers=_pool_size(len(blocks))) as pool:
-        solving = []
-        for cid, verts in blocks:
-            sub, to_global = g.subgraph(verts)
-            sub_inst = DominationInstance(sub, inst.alpha)
-            solving.append((cid, sub_inst, to_global, pool.submit(solve_lp, build_lp(sub_inst))))
-        for cid, sub_inst, to_global, frac in solving:
-            local = round_until_feasible(sub_inst, frac.result().values,
-                                         np.random.default_rng([seed, cid]), rounds)
-            picked[to_global[local.vertices]] = True
+    with ThreadPoolExecutor(max_workers=_pool_size(int(np.sum(sizes > 1)))) as pool:
+        solving = [(cid, verts, lp, pool.submit(solve_lp, lp))
+                   for cid, verts, lp in community_programs(g, inst.alpha, part)]
+        for cid, verts, lp, frac in solving:
+            local = round_rows(lp.indptr, lp.indices, lp.bounds, frac.result().values,
+                               np.random.default_rng([seed, cid]), rounds)
+            picked[verts[local]] = True
 
     return repair(inst, DominatingSet.from_mask(g, picked))

@@ -349,12 +349,22 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.edge_count})"
 
 
+def demands(alpha: Fraction, sizes: np.ndarray) -> np.ndarray:
+    """``ceil(alpha * s)`` for every closed-neighbourhood size s of an int64
+    array, by integer ceiling division once per distinct size: Python ints,
+    so a large-denominator alpha cannot overflow int64."""
+    num, den = alpha.numerator, alpha.denominator
+    distinct = np.flatnonzero(np.bincount(sizes))
+    by_size = np.zeros(len(distinct) and distinct[-1] + 1, dtype=np.int64)
+    by_size[distinct] = [-((-num * s) // den) for s in distinct.tolist()]
+    return by_size[sizes]
+
+
 class DominationInstance:
     """A weighted graph paired with the coverage rate alpha in (0, 1].
 
     Per-vertex demands ``ceil(alpha * (deg + 1))`` are precomputed at
-    construction time with integer ceiling division, once per distinct degree,
-    as an int64 array.
+    construction time by :func:`demands`, as an int64 array.
     """
 
     __slots__ = ("graph", "alpha", "_demand_array")
@@ -362,12 +372,7 @@ class DominationInstance:
     def __init__(self, graph: WeightedGraph, alpha):
         self.graph = graph
         self.alpha = as_alpha(alpha)
-        num, den = self.alpha.numerator, self.alpha.denominator
-        degrees = np.diff(graph.indptr)
-        distinct = np.flatnonzero(np.bincount(degrees))
-        by_degree = np.zeros(len(distinct) and distinct[-1] + 1, dtype=np.int64)
-        by_degree[distinct] = [-((-num * (d + 1)) // den) for d in distinct.tolist()]
-        self._demand_array = _frozen(by_degree[degrees])
+        self._demand_array = _frozen(demands(self.alpha, np.diff(graph.indptr) + 1))
 
     def demand(self, v: int) -> int:
         """Required closed-neighborhood coverage of v; always in [1, deg(v) + 1]."""

@@ -12,17 +12,19 @@ Andersen, Math. Prog. 1995).  One pass is the fixpoint.  What is left goes to
 HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through the solver object
 bundled with scipy, in one run with presolve off that yields the vertex, the
 row duals and the iteration count; at alpha = 1, or on a graph of isolated
-vertices, no run starts.  Large programs with long rows, and large programs
-with one column holding 0.3 of the nonzeros (a dominant hub, as in a star),
-go to HiGHS's interior-point solver with crossover, every other program to
-its dual simplex; both end at a vertex.  :func:`certify` checks a solution
-with its duals in exact rational arithmetic, using the safe dual bound of
-Neumaier & Shcherbina (Math. Prog. 2004), and runs no solver.  scipy is
-imported inside :func:`solve_lp`, so commands that never solve an LP do not
-pay for importing it.
+vertices, no run starts.  Each thread keeps one HiGHS object for its runs,
+and clears its model after each.  Large programs with long rows, and large
+programs with one column holding 0.3 of the nonzeros (a dominant hub, as in
+a star), go to HiGHS's interior-point solver with crossover, every other
+program to its dual simplex; both end at a vertex.  :func:`certify` checks
+a solution with its duals in exact rational arithmetic, using the safe dual
+bound of Neumaier & Shcherbina (Math. Prog. 2004), and runs no solver.
+scipy is imported inside :func:`solve_lp`, so commands that never solve an
+LP do not pay for importing it.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,10 +48,12 @@ IPM_MIN_MEAN_ROW = 5
 # largest column holds at least IPM_HUB_MIN_SHARE of them (a star's hub holds
 # a third) runs IPM + crossover too.  Measured on stars with x random
 # leaf-to-leaf edges per leaf (README): the dual simplex stalls on the hub
-# column of a 10^5-leaf star (x = 0: 4.1-7.4 s against 1.0-1.4 s; x = 1/4,
-# share 0.29: 1.2x slower), but is the faster from x = 1/2 (share 0.25) up,
-# on 10^4-leaf stars (share 1/3: 71 ms against 97 ms at alpha 1/4) and on
-# mentions-like LPs (largest column 1.4% of the nonzeros: 3-8x faster).
+# column of a 10^5-leaf star (x = 0: 4.1-7.4 s against 1.0-1.4 s).  At
+# x = 1/4 (share 0.286) the two split by alpha (IPM 1.2-1.5x faster at 1/4,
+# 1.2-1.9x slower at 1/2; the simplex is level or ahead over both), and from
+# x = 3/8 (share 0.267) up the simplex is the faster, as on 10^4-leaf stars
+# (share 1/3: 71 ms against 97 ms at alpha 1/4) and on mentions-like LPs
+# (largest column 1.4% of the nonzeros: 3-8x faster).
 IPM_HUB_MIN_NONZEROS = 50_000
 IPM_HUB_MIN_SHARE = 0.3
 
@@ -214,43 +218,63 @@ def _run_highs(lp: LinearProgram, n_named: int) -> tuple[np.ndarray, np.ndarray,
     backend = _backend(lp)
 
     from scipy.optimize._highspy import _core as highs
-    solver = highs._Highs()
-    solver.setOptionValue("output_flag", False)
-    solver.setOptionValue("presolve", "off")
-    if backend == "ipm":
-        solver.setOptionValue("solver", "ipm")
-        solver.setOptionValue("run_crossover", "on")
-    # the array form of passModel reads numpy buffers; a HighsLp built field
-    # by field converts every entry through Python (0.4 ms on 2,000 nonzeros).
-    # Its last argument marks every column continuous.
-    passed = solver.passModel(n, m, nnz, int(highs.MatrixFormat.kRowwise),
-                              int(highs.ObjSense.kMinimize), 0.0, lp.weights.astype(float),
-                              np.zeros(n), np.ones(n), lp.bounds.astype(float),
-                              np.full(m, highs.kHighsInf), lp.indptr.astype(np.int32),
-                              lp.indices.astype(np.int32), np.ones(nnz),
-                              np.zeros(n, dtype=np.int32))
-    if passed == highs.HighsStatus.kError:
-        raise SimplexError(f"HiGHS rejected the program for n={n_named}")
-    run_status = solver.run()
-    status = solver.getModelStatus()
-    info = solver.getInfo()
-    # crossover_iteration_count reads 0 even when crossover ran
-    iterations = (info.simplex_iteration_count + info.ipm_iteration_count
-                  + info.crossover_iteration_count)
-    if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
-        failure = solver.modelStatusToString(status)
-    elif backend == "ipm" and info.basis_validity != highs.kBasisValidityValid:
-        failure = "crossover left no valid basis"
-    else:
-        failure = None
-    if failure:
-        residual = (f", largest primal residual {info.max_primal_infeasibility:g}"
-                    if info.valid else "")
-        raise SimplexError(f"HiGHS found no optimum for n={n_named} after {iterations} "
-                           f"{backend} iterations: {failure}{residual}")
-    solution = solver.getSolution()
-    values = np.clip(solution.col_value, 0.0, 1.0) + 0.0  # + 0.0 turns HiGHS's -0.0 into 0.0
-    return values, np.asarray(solution.row_dual), iterations, backend
+    solver = _thread_highs(highs)
+    solver.setOptionValue("solver", backend)
+    try:
+        # the array form of passModel reads numpy buffers; a HighsLp built
+        # field by field converts every entry through Python (0.4 ms on 2,000
+        # nonzeros).  Its last argument marks every column continuous.
+        passed = solver.passModel(n, m, nnz, int(highs.MatrixFormat.kRowwise),
+                                  int(highs.ObjSense.kMinimize), 0.0, lp.weights.astype(float),
+                                  np.zeros(n), np.ones(n), lp.bounds.astype(float),
+                                  np.full(m, highs.kHighsInf), lp.indptr.astype(np.int32),
+                                  lp.indices.astype(np.int32), np.ones(nnz),
+                                  np.zeros(n, dtype=np.int32))
+        if passed == highs.HighsStatus.kError:
+            raise SimplexError(f"HiGHS rejected the program for n={n_named}")
+        run_status = solver.run()
+        status = solver.getModelStatus()
+        info = solver.getInfo()
+        # crossover_iteration_count reads 0 even when crossover ran
+        iterations = (info.simplex_iteration_count + info.ipm_iteration_count
+                      + info.crossover_iteration_count)
+        if run_status == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+            failure = solver.modelStatusToString(status)
+        elif backend == "ipm" and info.basis_validity != highs.kBasisValidityValid:
+            failure = "crossover left no valid basis"
+        else:
+            failure = None
+        if failure:
+            residual = (f", largest primal residual {info.max_primal_infeasibility:g}"
+                        if info.valid else "")
+            raise SimplexError(f"HiGHS found no optimum for n={n_named} after {iterations} "
+                               f"{backend} iterations: {failure}{residual}")
+        solution = solver.getSolution()
+        values = np.clip(solution.col_value, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+        return values, np.asarray(solution.row_dual), iterations, backend
+    finally:
+        solver.clearModel()
+
+
+_held = threading.local()  # per thread: (the factory that built it, its HiGHS object)
+
+
+def _thread_highs(highs):
+    """This thread's HiGHS object, with the options every run shares set.
+
+    It is built on the thread's first run, and again whenever
+    ``highs._Highs`` is no longer the factory that built it (a test may
+    swap the factory).  Building and freeing one took about 0.1 ms, which
+    a call per community LP paid before the object was kept.
+    """
+    held = getattr(_held, "highs", None)
+    if held is None or held[0] is not highs._Highs:
+        solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        solver.setOptionValue("presolve", "off")
+        solver.setOptionValue("run_crossover", "on")  # IPM must end at a vertex
+        held = _held.highs = (highs._Highs, solver)
+    return held[1]
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,21 @@ greedy S1, started from the rounded set) then fills any remaining per-vertex
 shortfall, so the returned set is feasible for every seed.  Every draw
 comes from [0, THRESHOLD_UPPER) rather than [0, 1), which inflates each
 inclusion probability to min(1, x / THRESHOLD_UPPER): any fractional value
-of at least one half is a certain pick.  The same pass loop,
-:func:`round_until_feasible`, serves the per-community rounding of
+of at least one half is a certain pick.  One pass loop, :func:`round_rows`,
+reads the rows of A + I and the demands as arrays, and serves both ``rr``
+(through :func:`round_until_feasible`) and the per-community rounding of
 :mod:`alphadom.community`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import (DominatingSet, DominationInstance, WeightedGraph,
-                    coverage_counts, is_feasible)
+from .graph import DominatingSet, DominationInstance, WeightedGraph, coverage_counts
 from .greedy import Strategy, _fill
 from .lp import FractionalSolution, build_lp, solve_lp
+# Not called here, but perfbench/tracer.py POINTS wraps it by its name in
+# this module, and a name that does not resolve fails the traced run's check.
+from .graph import is_feasible  # noqa: F401
 
 
 THRESHOLD_UPPER = 0.5  # upper end of every rounding draw
@@ -37,18 +40,31 @@ def round_once(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.nonzero(draws < values)[0]
 
 
-def round_until_feasible(inst: DominationInstance, values: np.ndarray,
-                         rng: np.random.Generator, rounds: int) -> DominatingSet:
+def round_rows(indptr: np.ndarray, indices: np.ndarray, demands: np.ndarray,
+               values: np.ndarray, rng: np.random.Generator, rounds: int) -> np.ndarray:
     """Union up to ``rounds`` passes of :func:`round_once`, stopping at the
-    first union that is feasible.  The result may still fall short."""
-    picked = np.zeros(inst.graph.n, dtype=bool)
-    accumulated = DominatingSet.empty()
+    first union whose coverage meets every demand; returns the union as a
+    mask over ``values``.
+
+    Row i of the CSR arrays (``indptr``, ``indices``) is the closed
+    neighbourhood whose members' count must reach ``demands[i]``; no row is
+    empty.  The union may still fall short.
+    """
+    picked = np.zeros(len(values), dtype=bool)
     for _ in range(rounds):
         picked[round_once(values, rng)] = True
-        accumulated = DominatingSet.from_mask(inst.graph, picked)
-        if is_feasible(inst, accumulated):
+        if np.all(np.add.reduceat(picked[indices], indptr[:-1], dtype=np.int64) >= demands):
             break
-    return accumulated
+    return picked
+
+
+def round_until_feasible(inst: DominationInstance, values: np.ndarray,
+                         rng: np.random.Generator, rounds: int) -> DominatingSet:
+    """:func:`round_rows` on the instance's rows of A + I and its demands,
+    as a set.  The result may still fall short."""
+    indptr, indices = inst.graph.closed_csr()
+    return DominatingSet.from_mask(inst.graph, round_rows(indptr, indices, inst.demand_array(),
+                                                          values, rng, rounds))
 
 
 def repair(inst: DominationInstance, candidate: DominatingSet) -> DominatingSet:

@@ -2,16 +2,23 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphadom import (DominationInstance, Partition, WeightedGraph,
+from alphadom import (DominationInstance, Partition, WeightedGraph, build_lp, community,
                       community_rounding, gen_planted_partition, is_feasible,
                       louvain, modularity, planted_block_assignment)
 from alphadom.generators import WeightSpec, assign_weights, gen_gnm
 
 from .louvain_reference import reference_louvain
-from .strategies import instances
+from .strategies import instances, weighted_graphs
+from .test_louvain_reference import perfbench_graphs  # noqa: F401  (a fixture)
+
+# num * (deg + 1) passes int64 from deg = 1 on
+PROGRAM_ALPHAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1),
+                  Fraction(2**62 + 1, 2**63))
 
 
 def two_triangles(bridge=False):
@@ -184,3 +191,66 @@ def test_community_rounding_always_feasible(inst):
     d = community_rounding(inst, 17)
     assert is_feasible(inst, d)
     assert d.total_weight == d.recomputed_weight(inst.graph)
+
+
+def assert_programs_match_subgraphs(g, part, alpha):
+    """Every community program cut in one pass equals the one built from
+    that community's induced subgraph."""
+    blocks = [(c, verts) for c, verts in enumerate(part.communities()) if len(verts) > 1]
+    programs = list(community.community_programs(g, alpha, part))
+    assert [c for c, _, _ in programs] == [c for c, _ in blocks]
+    for (_, verts, lp), (_, want_verts) in zip(programs, blocks):
+        sub, to_global = g.subgraph(want_verts)
+        assert np.array_equal(verts, to_global)
+        want = build_lp(DominationInstance(sub, alpha))
+        assert lp.n_vars == want.n_vars
+        for name in ("indptr", "indices", "weights", "bounds"):
+            got, expected = getattr(lp, name), getattr(want, name)
+            assert got.dtype == expected.dtype == np.int64, name
+            assert np.array_equal(got, expected), name
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A graph with a random partition: singletons come up often, and the
+    community ids are shuffled out of first-appearance order."""
+    g = draw(weighted_graphs(max_n=12))
+    found = Partition.from_assignment(
+        draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n)))
+    ids = draw(st.permutations(range(found.k)))
+    return g, Partition(tuple(ids[c] for c in found.community_of), found.k)
+
+
+class TestCommunityPrograms:
+    @settings(max_examples=150, deadline=None)
+    @given(partitioned_graphs(), st.sampled_from(PROGRAM_ALPHAS))
+    def test_equal_to_subgraph_programs(self, graph_and_partition, alpha):
+        assert_programs_match_subgraphs(*graph_and_partition, alpha)
+
+    def test_equal_to_subgraph_programs_on_perfbench_graphs(self, perfbench_graphs):
+        for g in perfbench_graphs.values():
+            for alpha in PROGRAM_ALPHAS:
+                assert_programs_match_subgraphs(g, louvain(g), alpha)
+
+    def test_no_program_and_no_lp_without_a_community_of_two(self, monkeypatch):
+        def no_lp(lp):
+            raise AssertionError("an LP was started")
+
+        monkeypatch.setattr(community, "solve_lp", no_lp)
+        empty = WeightedGraph.from_edges(0, [], [])
+        g = assign_weights(gen_gnm(30, 60, 4), WeightSpec(1, 9), 5)
+        singletons = Partition(tuple(reversed(range(g.n))), g.n)
+        for graph, part in ((empty, None), (g, singletons)):
+            inst = DominationInstance(graph, Fraction(1, 2))
+            assert list(community.community_programs(graph, inst.alpha,
+                                                     part or louvain(graph))) == []
+            assert community_rounding(inst, 3, part).members == set(range(graph.n))
+
+    def test_a_singleton_may_weigh_past_int64(self):
+        # a singleton enters no program; a heavy vertex in a program is named
+        g = WeightedGraph.from_edges(4, [(0, 1)], [2, 3, 2**64, 5], ["a", "b", "c", "d"])
+        inst = DominationInstance(g, Fraction(1, 2))
+        assert louvain(g).communities() == [[0, 1], [2], [3]]
+        assert community_rounding(inst, 1).members == {0, 2, 3}
+        with pytest.raises(ValueError, match="vertex c has weight 18446744073709551616"):
+            community_rounding(inst, 1, Partition((0, 0, 1, 1), 2))

@@ -1,5 +1,6 @@
 """Relaxation construction, the HiGHS solve and its exact certificate."""
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -227,9 +228,12 @@ class TestSolverCut:
         assert solve_lp(build_lp(DominationInstance(star(30_000), Fraction(1, 2)))).backend \
             == "ipm"
         assert route(star(100_000)) == route(star(100_000), Fraction(1, 4)) == "ipm"
-        # one leaf-to-leaf edge per leaf: the hub holds a fifth of the
-        # nonzeros, and the simplex is the faster again
-        assert route(star(100_000, 100_000)) == "simplex"
+        # a quarter leaf-to-leaf edge per leaf (the hub holds 0.286 of the
+        # nonzeros): IPM is the faster at alpha 1/4, the simplex at 1/2 and
+        # over both; from three eighths (0.267) up the simplex is the faster
+        for leaf_edges in (25_000, 37_500, 100_000):
+            assert route(star(100_000, leaf_edges)) \
+                == route(star(100_000, leaf_edges), Fraction(1, 4)) == "simplex"
         for n in (10_000, 100_000):
             assert route(mentions_like(n, 7), Fraction(1, 4)) == "simplex"
             assert route(mentions_like(n, 7)) == "simplex"
@@ -299,6 +303,70 @@ def patch_highs(monkeypatch, **options):
 
     monkeypatch.setattr(core, "_Highs", Patched)
     return runs
+
+
+class TestHeldHighs:
+    @staticmethod
+    def on_a_fresh_object(lp):
+        """solve_lp(lp) on a new thread, whose HiGHS object is new; its
+        outcome as a result or an error text."""
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            try:
+                return pool.submit(solve_lp, lp).result()
+            except SimplexError as error:
+                return str(error)
+
+    @staticmethod
+    def held():
+        return lp_module._held.highs[1]
+
+    def test_one_object_per_thread_gives_fresh_results(self, monkeypatch):
+        def program(g, alpha):
+            return build_lp(DominationInstance(assign_weights(g, WeightSpec(1, 71), 4), alpha))
+
+        ipm = program(gen_gnm(300, 3000, 3), Fraction(1, 2))
+        simplex = program(gen_gnm(60, 300, 5), Fraction(1, 4))
+        stalls = program(gen_gnm(40, 200, 1), Fraction(1, 2))
+        fixed = program(gen_gnm(80, 300, 6), 1)
+        returned, kept = [], []
+        for lp, backend, pinned in [(ipm, "ipm", {}), (simplex, "simplex", {}),
+                                    (stalls, None, {"simplex_iteration_limit": 1}),
+                                    (fixed, "fixed", {}), (simplex, "simplex", {})]:
+            with pytest.MonkeyPatch.context() as patch:
+                if pinned:
+                    patch_highs(patch, **pinned)
+                want = self.on_a_fresh_object(lp)
+                try:
+                    got = solve_lp(lp)
+                except SimplexError as error:
+                    got = str(error)
+                assert self.held().getNumCol() == 0  # no program outlives its call
+            if backend is None:
+                assert got == want and "Iteration limit reached" in got
+                continue
+            assert got.backend == want.backend == backend
+            assert got.iterations == want.iterations
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.duals.tobytes() == want.duals.tobytes()
+            returned.append(got)
+            kept.append((got.values.copy(), got.duals.copy()))
+        for sol, (values, duals) in zip(returned, kept):
+            assert sol.values.tobytes() == values.tobytes()
+            assert sol.duals.tobytes() == duals.tobytes()
+
+    def test_the_object_is_kept_until_the_factory_changes(self, monkeypatch):
+        lp = build_lp(DominationInstance(assign_weights(gen_gnm(60, 300, 5), WeightSpec(1, 71), 4),
+                                         Fraction(1, 4)))
+        solve_lp(lp)
+        first = self.held()
+        solve_lp(lp)
+        assert self.held() is first
+        with pytest.MonkeyPatch.context() as patch:
+            runs = patch_highs(patch)
+            solve_lp(lp)
+            assert runs == [1] and self.held() is not first
+        solve_lp(lp)
+        assert type(self.held()) is type(first) and self.held() is not first
 
 
 @pytest.mark.parametrize("path", ["_Highs", "ObjSense.kMinimize", "MatrixFormat.kRowwise",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphadom import (DominatingSet, DominationInstance, WeightedGraph,
                       build_lp, community, community_rounding, coverage_counts,
@@ -51,6 +52,29 @@ class TestRoundOnce:
         # drawing from [0, 0.5) dominates the plain per-value probability
         xs = np.linspace(0, 1, 101)
         assert np.all(np.minimum(1.0, xs / 0.5) >= xs)
+
+
+def passes_on_sets(inst, values, rng, rounds):
+    """The pass loop as a loop on sets: union passes of round_once, stopping
+    at the first union that the verifier finds feasible."""
+    picked: set[int] = set()
+    union = DominatingSet.empty()
+    for _ in range(rounds):
+        picked.update(round_once(values, rng).tolist())
+        union = DominatingSet.from_members(inst.graph, picked)
+        if is_feasible(inst, union):
+            break
+    return union
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_n=12), st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_pass_loop_matches_a_loop_on_sets(inst, seed, rounds):
+    values = np.random.default_rng(seed).random(inst.graph.n)
+    rngs = [np.random.default_rng([seed, 1]) for _ in range(2)]
+    got = round_until_feasible(inst, values, rngs[0], rounds)
+    assert got.members == passes_on_sets(inst, values, rngs[1], rounds).members
+    assert rngs[0].random() == rngs[1].random()  # the same number of passes drawn
 
 
 class TestRepair:
