@@ -49,11 +49,11 @@ IPM_MIN_MEAN_ROW = 5
 # a third) runs IPM + crossover too.  Measured on stars with x random
 # leaf-to-leaf edges per leaf (README): the dual simplex stalls on the hub
 # column of a 10^5-leaf star (x = 0: 4.1-7.4 s against 1.0-1.4 s).  At
-# x = 1/4 (share 0.286) the two split by alpha (IPM 1.2-1.5x faster at 1/4,
-# 1.2-1.9x slower at 1/2; the simplex is level or ahead over both), and from
-# x = 3/8 (share 0.267) up the simplex is the faster, as on 10^4-leaf stars
-# (share 1/3: 71 ms against 97 ms at alpha 1/4) and on mentions-like LPs
-# (largest column 1.4% of the nonzeros: 3-8x faster).
+# x = 1/4 (share 0.286) the two split by alpha (median 3.7 / 6.6 s against
+# IPM's 3.1 / 11.1 s at alpha 1/4 / 1/2, so the simplex wins the pair), and
+# from x = 3/8 (share 0.267) up the simplex is the faster, as on 10^4-leaf
+# stars (share 1/3: 71 ms against 97 ms at alpha 1/4) and on mentions-like
+# LPs (largest column 1.4% of the nonzeros: 3-8x faster).
 IPM_HUB_MIN_NONZEROS = 50_000
 IPM_HUB_MIN_SHARE = 0.3
 

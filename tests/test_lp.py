@@ -230,7 +230,7 @@ class TestSolverCut:
         assert route(star(100_000)) == route(star(100_000), Fraction(1, 4)) == "ipm"
         # a quarter leaf-to-leaf edge per leaf (the hub holds 0.286 of the
         # nonzeros): IPM is the faster at alpha 1/4, the simplex at 1/2 and
-        # over both; from three eighths (0.267) up the simplex is the faster
+        # over the pair; from three eighths (0.267) up the simplex is faster
         for leaf_edges in (25_000, 37_500, 100_000):
             assert route(star(100_000, leaf_edges)) \
                 == route(star(100_000, leaf_edges), Fraction(1, 4)) == "simplex"
@@ -320,7 +320,7 @@ class TestHeldHighs:
     def held():
         return lp_module._held.highs[1]
 
-    def test_one_object_per_thread_gives_fresh_results(self, monkeypatch):
+    def test_one_object_per_thread_gives_fresh_results(self):
         def program(g, alpha):
             return build_lp(DominationInstance(assign_weights(g, WeightSpec(1, 71), 4), alpha))
 
@@ -354,7 +354,7 @@ class TestHeldHighs:
             assert sol.values.tobytes() == values.tobytes()
             assert sol.duals.tobytes() == duals.tobytes()
 
-    def test_the_object_is_kept_until_the_factory_changes(self, monkeypatch):
+    def test_the_object_is_kept_until_the_factory_changes(self):
         lp = build_lp(DominationInstance(assign_weights(gen_gnm(60, 300, 5), WeightSpec(1, 71), 4),
                                          Fraction(1, 4)))
         solve_lp(lp)
