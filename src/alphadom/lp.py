@@ -219,7 +219,7 @@ def _run_highs(lp: LinearProgram, n_named: int) -> tuple[np.ndarray, np.ndarray,
 
     from scipy.optimize._highspy import _core as highs
     solver = _thread_highs(highs)
-    solver.setOptionValue("solver", backend)
+    solver.setOptionValue("solver", backend)  # "ipm" and "simplex" are HiGHS's names
     try:
         # the array form of passModel reads numpy buffers; a HighsLp built
         # field by field converts every entry through Python (0.4 ms on 2,000
