@@ -6,13 +6,15 @@ recomputed on the induced subgraph so every local program is feasible in
 isolation), unions the per-community picks, and finishes with the global
 repair sweep so cross-community demands are honored.  Every community's
 program is cut from the closed CSR rows (A + I) of the whole graph in one
-pass, and rounded on those same rows.  The community LPs run on up to
-min(available CPUs, number of LPs) threads, since HiGHS releases the GIL
-while it solves; the result does not depend on the thread count.
+pass, and rounded on those same rows.  The community LPs run on a thread
+pool that the process keeps from call to call, with a thread per available
+CPU but no more than the most LPs a call has had, since HiGHS releases the
+GIL while it solves; the result does not depend on the thread count.
 """
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,20 +182,36 @@ def _local_moves_py(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | 
 
 def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
                comm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next level: communities contracted to vertices by one product
-    Pᵀ A P, with the edges inside a community (its diagonal) dropped, since
-    a self-loop enters the gains only through the vertex strength."""
-    from scipy.sparse import csr_array
+    """The next level: communities contracted to vertices, the CSR rows of
+    the product Pᵀ A P with the edges inside a community (its diagonal)
+    dropped, since a self-loop enters the gains only through the vertex
+    strength.
 
-    n, k = len(comm), int(comm.max()) + 1
-    if data is None:
-        data = np.ones(len(indices), dtype=np.int64)
-    a = csr_array((data, indices, indptr), shape=(n, n))
-    p = csr_array((np.ones(n, dtype=np.int64), (np.arange(n), comm)), shape=(n, k))
-    b = (p.T @ a @ p).tocoo()
-    off = b.row != b.col
-    b = csr_array((b.data[off], (b.row[off], b.col[off])), shape=(k, k))
-    return b.indptr, b.indices, b.data
+    Every off-diagonal entry gets the key ``comm[row] * k + comm[col]``; one
+    stable sort brings equal keys together, and ``np.add.reduceat`` sums
+    their integer weights, so the rows come out with ascending columns.
+    """
+    k = int(comm.max()) + 1
+    rows = comm[np.repeat(np.arange(len(comm)), np.diff(indptr))]
+    cols = comm[indices]
+    off = rows != cols
+    keys = rows[off] * k + cols[off]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    weights = np.ones(len(keys), dtype=np.int64) if data is None else data[off][order]
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    keys = keys[firsts]
+    return (_indptr(np.bincount(keys // k, minlength=k)), keys % k,
+            np.add.reduceat(weights, firsts))
+
+
+def _first_appearance(ids: np.ndarray) -> np.ndarray:
+    """``ids`` renumbered 0..k-1 by first appearance, the relabelling of
+    :meth:`Partition.from_assignment` for integer ids."""
+    _, firsts, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    return rank[inverse]
 
 
 def _split_rows(bounds: list[int], values: np.ndarray) -> list[list[int]]:
@@ -209,9 +227,9 @@ def louvain(g: WeightedGraph) -> Partition:
     prefer the lowest community id, so the partition depends on the graph
     alone.  It is therefore computed once per graph object and kept on the
     graph; later calls return the same :class:`Partition`.  Level 0 reads
-    the graph's own CSR rows with unit weights, and each later level is one
-    sparse product with integer weights, so every gain is an exact integer
-    and no comparison depends on rounding.
+    the graph's own CSR rows with unit weights, and each later level is
+    contracted from the last (:func:`_aggregate`) with integer weights, so
+    every gain is an exact integer and no comparison depends on rounding.
     """
     if g._partition is None:
         g._partition = _louvain(g)
@@ -230,7 +248,7 @@ def _louvain(g: WeightedGraph) -> Partition:
         comm, moved = _local_moves(indptr, indices, data, strength, two_m)
         if not moved:
             break
-        comm = np.asarray(Partition.from_assignment(comm).community_of)
+        comm = _first_appearance(np.asarray(comm))
         membership = comm[membership]
         q = _modularity(g, membership)
         if q <= best_q + _GAIN_TOL:
@@ -238,7 +256,45 @@ def _louvain(g: WeightedGraph) -> Partition:
         best_q = q
         strength = np.bincount(comm, weights=strength).astype(np.int64)
         indptr, indices, data = _aggregate(indptr, indices, data, comm)
-    return Partition.from_assignment(membership.tolist())
+    labels = _first_appearance(membership)
+    return Partition(tuple(labels.tolist()), int(labels.max()) + 1)
+
+
+_pool_lock = threading.Lock()
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (its thread count, the pool)
+
+
+def _lp_pool(lps: int) -> ThreadPoolExecutor:
+    """The process's thread pool for community LPs, with at least
+    ``_pool_size(lps)`` threads.
+
+    It is built on first use and kept, so later calls start no thread, and
+    each thread keeps its HiGHS object (:func:`alphadom.lp._thread_highs`)
+    from one call to the next.  It is built again, larger, only when a call
+    needs more threads than it has.  Every thread is started when the pool
+    is built: each waits at a barrier for all the others.
+    """
+    global _pool
+    threads = _pool_size(lps)
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            # a pool that is replaced ends its threads once its last user drops it
+            pool = ThreadPoolExecutor(threads, thread_name_prefix="alphadom-lp")
+            started = threading.Barrier(threads)
+            for ready in [pool.submit(started.wait) for _ in range(threads)]:
+                ready.result()
+            _pool = threads, pool
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child: it holds none of the pool's threads,
+    so a task queued on the inherited pool would never run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _pool_size(lps: int) -> int:
@@ -308,9 +364,12 @@ def community_rounding(inst: DominationInstance, seed: int,
     the global repair sweep, so the result is feasible on the full graph for
     every seed.
 
-    Each community LP is handed to a thread pool as soon as it is cut, and
-    the rounding then takes the solutions in community-id order, so the set
-    is the one a sequential loop would give.
+    Each community LP is handed to the process's kept thread pool
+    (:func:`_lp_pool`) as soon as it is cut, and the rounding then takes the
+    solutions in community-id order, so the set is the one a sequential loop
+    would give.  The pool outlives the call: its threads, and the HiGHS
+    object each one holds, serve every later call, and a forked child builds
+    its own.
     """
     g = inst.graph
     part = partition if partition is not None else louvain(g)
@@ -320,12 +379,12 @@ def community_rounding(inst: DominationInstance, seed: int,
     sizes = np.bincount(community_of, minlength=part.k)
     picked = sizes[community_of] == 1  # a singleton's own demand is 1: itself
 
-    with ThreadPoolExecutor(max_workers=_pool_size(int(np.sum(sizes > 1)))) as pool:
-        solving = [(cid, verts, lp, pool.submit(solve_lp, lp))
-                   for cid, verts, lp in community_programs(g, inst.alpha, part)]
-        for cid, verts, lp, frac in solving:
-            local = round_rows(lp.indptr, lp.indices, lp.bounds, frac.result().values,
-                               np.random.default_rng([seed, cid]), rounds)
-            picked[verts[local]] = True
+    pool = _lp_pool(int(np.sum(sizes > 1)))
+    solving = [(cid, verts, lp, pool.submit(solve_lp, lp))
+               for cid, verts, lp in community_programs(g, inst.alpha, part)]
+    for cid, verts, lp, frac in solving:
+        local = round_rows(lp.indptr, lp.indices, lp.bounds, frac.result().values,
+                           np.random.default_rng([seed, cid]), rounds)
+        picked[verts[local]] = True
 
     return repair(inst, DominatingSet.from_mask(g, picked))

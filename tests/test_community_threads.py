@@ -1,7 +1,13 @@
 """``community_rounding`` with its LPs on a thread pool returns the set of the
-sequential loop it replaced, and leaves no thread behind."""
+sequential loop it replaced; the pool is kept from call to call, and a forked
+child gets a pool of its own."""
+import json
+import os
+import signal
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +46,7 @@ def sequential_reference(inst, seed, partition=None):
 
 
 def assert_matches_reference(inst, seed, partition=None):
-    threads = threading.active_count()
     got = community_rounding(inst, seed, partition)
-    assert threading.active_count() == threads
     want = sequential_reference(inst, seed, partition)
     assert got.members == want.members
     assert got.total_weight == want.total_weight
@@ -101,10 +105,37 @@ def test_lps_are_solved_off_the_main_thread(monkeypatch):
     assert threading.main_thread() not in solved_on
 
 
+def test_the_pool_is_kept_between_calls(monkeypatch):
+    counts, solvers = [], set()
+
+    def counted(lp):
+        counts.append(threading.active_count())
+        solvers.add(threading.current_thread())
+        return solve_lp(lp)
+
+    monkeypatch.setattr(community, "solve_lp", counted)
+    g = assign_weights(SEEDED["planted"](), WeightSpec(1, 71), 24)
+    lps = sum(len(c) > 1 for c in louvain(g).communities())
+    before = set(threading.enumerate())
+    first = None
+    for call in range(50):
+        community_rounding(DominationInstance(g, ALPHAS[call % 3]), call)
+        counts.append(threading.active_count())
+        now = set(threading.enumerate()) | solvers
+        assert all(t.name.startswith("alphadom-lp") for t in now - before)
+        if first is None:
+            first = now
+        assert now <= first  # calls after the first start no thread
+    assert len(counts) == 50 * (lps + 1)
+    assert max(counts) <= len(before) + community._pool_size(lps)
+
+
 def test_more_threads_than_cpus(monkeypatch):
     # one thread per LP, switching often: concurrent HiGHS runs stay independent
     monkeypatch.setattr(community, "_pool_size", lambda lps: max(1, lps))
+    monkeypatch.setattr(community, "_pool", None)  # a pool of this test's size
     g = assign_weights(SEEDED["er"](), WeightSpec(1, 71), 24)
+    lps = sum(len(c) > 1 for c in louvain(g).communities())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -112,6 +143,64 @@ def test_more_threads_than_cpus(monkeypatch):
             assert_matches_reference(DominationInstance(g, alpha), 5)
     finally:
         sys.setswitchinterval(interval)
+    assert community._pool[0] == lps
+
+
+# rrwc in this process, then in a forked child and in the forked workers of
+# run_experiment(jobs=2), all after this process has built its LP pool; each
+# line says one part finished and whether it gave this process's results
+FORK_SCRIPT = """
+import json, multiprocessing, sys
+from fractions import Fraction
+from alphadom import (DominationInstance, ExperimentConfig, community_rounding,
+                      run_experiment)
+from alphadom.generators import WeightSpec, assign_weights, gen_planted_partition
+
+def solve_all(insts):
+    return [community_rounding(inst, seed).vertices.tolist()
+            for inst in insts for seed in (0, 1)]
+
+def in_child(conn, insts):
+    conn.send(solve_all(insts))
+
+g = assign_weights(gen_planted_partition(8, 40, 0.3, 0.01, 22), WeightSpec(1, 71), 24)
+insts = [DominationInstance(g, Fraction(a, 4)) for a in (1, 2, 3)]
+want = solve_all(insts)
+print(json.dumps(["parent", True]), flush=True)
+
+ctx = multiprocessing.get_context("fork")
+receive, send = ctx.Pipe(duplex=False)
+child = ctx.Process(target=in_child, args=(send, insts))
+child.start()
+got = receive.recv() if receive.poll(30) else None
+child.kill()
+child.join()
+print(json.dumps(["fork child", got == want]), flush=True)
+
+cfg = ExperimentConfig.from_dict({
+    "base_seed": 5, "repetitions": 2, "alphas": ["1/4", "1/2"], "algorithms": ["rrwc"],
+    "sources": [{"kind": "planted-partition", "label": "plp", "count": 2, "l": 4,
+                 "community_size": 40, "p_in": 0.3, "p_out": 0.01, "weights": [1, 71]}]})
+cells = [[(r.graph, str(r.alpha), r.size, r.weight, r.seed) for r in run_experiment(cfg, jobs)[0]]
+         for jobs in (1, 2)]
+print(json.dumps(["run_experiment jobs=2", cells[0] == cells[1]]), flush=True)
+"""
+
+
+def test_forked_children_solve_with_a_pool_of_their_own():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(community.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    # a new session, so a timeout can end the forked children with the script
+    script = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True)
+    try:
+        out, err = script.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(script.pid, signal.SIGKILL)
+        out, err = script.communicate()
+    assert [json.loads(line) for line in out.splitlines()] == \
+        [["parent", True], ["fork child", True], ["run_experiment jobs=2", True]], err
 
 
 @pytest.mark.parametrize("lps, cpus, threads", [(0, 2, 1), (1, 2, 1), (5, 2, 2),
