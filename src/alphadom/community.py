@@ -294,7 +294,8 @@ def _forget_pool() -> None:
     _pool, _pool_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _pool_size(lps: int) -> int:

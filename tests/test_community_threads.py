@@ -7,8 +7,8 @@ import signal
 import subprocess
 import sys
 import threading
-from pathlib import Path
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +150,7 @@ def test_more_threads_than_cpus(monkeypatch):
 # run_experiment(jobs=2), all after this process has built its LP pool; each
 # line says one part finished and whether it gave this process's results
 FORK_SCRIPT = """
-import json, multiprocessing, sys
+import json, multiprocessing
 from fractions import Fraction
 from alphadom import (DominationInstance, ExperimentConfig, community_rounding,
                       run_experiment)
