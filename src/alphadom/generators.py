@@ -41,8 +41,7 @@ def assign_weights(g: WeightedGraph, spec: WeightSpec, seed: int) -> WeightedGra
     so the same (graph, spec, seed) always produces the same weight vector.
     """
     rng = np.random.default_rng(seed)
-    weights = rng.integers(spec.min, spec.max + 1, size=g.n)
-    return g.with_weights([int(w) for w in weights])
+    return g.with_weights(rng.integers(spec.min, spec.max + 1, size=g.n, dtype=np.int64))
 
 
 def gen_gnm(n: int, m: int, seed: int) -> WeightedGraph:

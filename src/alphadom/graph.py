@@ -104,10 +104,11 @@ class WeightedGraph:
     Vertices are dense indices ``0 .. n-1``.  Optional string labels map
     bijectively to indices and are used only at the file-format boundary.
     The neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``, sorted
-    ascending, and ``adjacency[v]`` is the same row as a tuple of Python
-    ints (all rows are built on first access); together with index-ordered
-    scans in the solvers this pins down every deterministic tie-break.
-    Weights stay Python ints, so they may exceed the int64 range.
+    ascending; the solvers read these CSR arrays, and their index-ordered
+    scans pin down every deterministic tie-break.  ``adjacency[v]`` is the
+    same row as a tuple of Python ints, for Python loops and callers (all
+    rows are built on first access).  Weights stay Python ints, so they may
+    exceed the int64 range.
     """
 
     __slots__ = ("n", "indptr", "indices", "weights", "labels", "_adjacency",
@@ -313,8 +314,9 @@ class WeightedGraph:
 
     # -- derived graphs ------------------------------------------------------
 
-    def with_weights(self, weights: Sequence[int]) -> "WeightedGraph":
-        """Same topology and labels, new weight vector."""
+    def with_weights(self, weights: Sequence[int] | np.ndarray) -> "WeightedGraph":
+        """Same topology and labels, new weight vector; an int64 array of
+        weights is checked in numpy and copied, never modified."""
         return WeightedGraph._from_csr(self.n, self.indptr, self.indices, weights, self.labels)
 
     def subgraph(self, vertices: Iterable[int]) -> tuple["WeightedGraph", np.ndarray]:
@@ -389,22 +391,18 @@ class DominationInstance:
 _INT64_LIMIT = 2**63
 
 
-def _int64_weights(g: WeightedGraph) -> np.ndarray | None:
-    """The weights as int64, or None when one is past that range."""
+def _exact_weights(g: WeightedGraph) -> np.ndarray:
+    """The weights as an array on which numpy sums distinct entries exactly:
+    the read-only int64 :meth:`WeightedGraph.weight_array` while the largest
+    weight times n is below 2**63, so that no such sum can wrap, and Python
+    ints as objects otherwise (also when a weight is past int64)."""
     try:
-        return g.weight_array()
+        w = g.weight_array()
     except ValueError:
-        return None
-
-
-def _weight_of(g: WeightedGraph, vertices: np.ndarray) -> int:
-    """Total weight of distinct vertices: an int64 sum when the largest
-    weight times n is below 2**63, so that no such sum can wrap, and a
-    Python-int sum otherwise."""
-    w = _int64_weights(g)
+        w = None
     if w is not None and int(w.max(initial=0)) * g.n < _INT64_LIMIT:
-        return int(w[vertices].sum())
-    return sum(map(g.weights.__getitem__, vertices.tolist()))
+        return w
+    return np.array(g.weights, dtype=object)
 
 
 class DominatingSet:
@@ -429,7 +427,7 @@ class DominatingSet:
     def from_mask(cls, g: WeightedGraph, mask: np.ndarray) -> "DominatingSet":
         """The vertices whose entry of the length-n ``mask`` is nonzero."""
         vertices = _frozen(np.flatnonzero(mask))
-        return cls(vertices, _weight_of(g, vertices))
+        return cls(vertices, int(_exact_weights(g)[vertices].sum()))
 
     @classmethod
     def from_members(cls, g: WeightedGraph, members: Iterable[int]) -> "DominatingSet":

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _native
-from .graph import (_INT64_LIMIT, DominatingSet, DominationInstance, WeightedGraph, _frozen,
-                    _int64_weights)
+from .graph import (_INT64_LIMIT, DominatingSet, DominationInstance, WeightedGraph,
+                    _exact_weights, _frozen)
 
 
 class Strategy(Enum):
@@ -57,56 +57,36 @@ def sort_key(strategy: Strategy, g: WeightedGraph, v: int) -> SortKey:
 _FLOAT_EXACT = 2**53  # every int below this is a float, and int / int is correctly rounded
 
 
-def _int64_ratios(strategy: Strategy, g: WeightedGraph) -> tuple[np.ndarray, np.ndarray] | None:
-    """(numerators, denominators) of every vertex's ranking value as int64
-    arrays, when numpy computes them exactly: every weight and denominator
-    below 2**53, every product of a weight and a denominator below 2**63.
-    None otherwise."""
-    w = _int64_weights(g)
-    if w is None:
-        return None
-    top = int(w.max())
-    if top >= _FLOAT_EXACT:
-        return None
+def _ratios(strategy: Strategy, g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(numerators, denominators) of every vertex's ranking value: int64
+    arrays when numpy computes them and their cross products exactly (every
+    weight and denominator below 2**53, every product of a weight and a
+    denominator below 2**63), arrays of Python ints as objects otherwise."""
+    w = _exact_weights(g)
     if strategy is Strategy.S1:
         dens = np.ones(g.n, dtype=np.int64)
     elif strategy is Strategy.S2:
         dens = np.diff(g.indptr) + 1
     else:
-        if top * (g.max_degree() + 1) >= _INT64_LIMIT:  # a row sum could wrap
-            return None
-        # every row sum fits, so the differences of the prefix sums are exact
-        # even where the prefix sums themselves wrap past int64
-        sums = np.zeros(len(g.indices) + 1, dtype=np.int64)
+        # no sum of distinct weights wraps in w's dtype, so the differences of
+        # the prefix sums are exact even where the prefix sums themselves wrap
+        sums = np.zeros(len(g.indices) + 1, dtype=w.dtype)
         np.cumsum(w[g.indices], out=sums[1:])
         dens = w + sums[g.indptr[1:]] - sums[g.indptr[:-1]]
-    den_top = int(dens.max())
-    if den_top >= _FLOAT_EXACT or top * den_top >= _INT64_LIMIT:
-        return None
-    return w, dens
+    top, den_top = int(w.max(initial=0)), int(dens.max(initial=0))
+    fits = max(top, den_top) < _FLOAT_EXACT and top * den_top < _INT64_LIMIT
+    dtype = np.int64 if fits else object
+    return w.astype(dtype, copy=False), dens.astype(dtype, copy=False)
 
 
 def _weight_keys(g: WeightedGraph) -> np.ndarray | None:
     """w * n + v for every vertex v of weight w, as int64, when no key can
     pass int64: (largest weight + 1) * n below 2**63.  None otherwise.  The
     keys are distinct and ascend in the S1 order of :func:`sort_key`."""
-    w = _int64_weights(g)
-    if w is None or (int(w.max()) + 1) * g.n >= _INT64_LIMIT:
+    w = _exact_weights(g)
+    if w.dtype == object or (int(w.max()) + 1) * g.n >= _INT64_LIMIT:
         return None
     return w * g.n + np.arange(g.n)
-
-
-def _denominators(strategy: Strategy, g: WeightedGraph) -> list[int]:
-    """Denominator of every vertex's ranking value as Python ints; the
-    numerator is its weight."""
-    w = g.weights
-    if strategy is Strategy.S1:
-        return [1] * g.n
-    if strategy is Strategy.S2:
-        return (np.diff(g.indptr) + 1).tolist()
-    bounds, flat = g.indptr.tolist(), g.indices.tolist()
-    return [wv + sum(map(w.__getitem__, flat[a:b]))
-            for wv, a, b in zip(w, bounds, bounds[1:])]
 
 
 def _approx(num: int, den: int) -> float:
@@ -135,16 +115,15 @@ def _rank_order(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
 
     Under S1 the order is that of the integer keys of :func:`_weight_keys`,
     sorted once, whenever they fit int64.  Otherwise, and under S2 and S3,
-    ratios are sorted by their correctly rounded floats, and each vertex is
-    keyed by the number of its run of equal floats times n plus its index;
-    one sort of those int64 keys puts the runs in float order and each run
-    in index order.  Rounding is monotone, so unequal floats are already in
-    exact order; only a run of equal floats can hold distinct ratios (close
-    values, or weights past 2**53).  Adjacent pairs in such runs are
-    compared exactly by cross-multiplying, and a run that holds two distinct
-    ratios is re-sorted by :func:`sort_key`.  When every ratio fits (see
-    :func:`_int64_ratios`) all of this is numpy arithmetic; otherwise the
-    ratios are Python ints.
+    the ratios of :func:`_ratios` are sorted by their correctly rounded
+    floats, and each vertex is keyed by the number of its run of equal
+    floats times n plus its index; one sort of those int64 keys puts the
+    runs in float order and each run in index order.  Rounding is monotone,
+    so unequal floats are already in exact order; only a run of equal floats
+    can hold distinct ratios (close values, or weights past 2**53).  Adjacent
+    pairs in such runs are compared exactly by cross-multiplying, in int64 or
+    in Python ints as the arrays hold them, and a run that holds two
+    distinct ratios is re-sorted by :func:`sort_key`.
     """
     n = g.n
     rank = np.empty(n, dtype=np.int64)
@@ -154,13 +133,11 @@ def _rank_order(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
     if keys is not None:
         rank[np.sort(keys) % n] = np.arange(n)
         return rank
-    exact = _int64_ratios(strategy, g)
-    if exact is not None:
-        nums, dens = exact
-        approx = nums / dens
-    else:
-        nums, dens = g.weights, _denominators(strategy, g)
+    nums, dens = _ratios(strategy, g)
+    if nums.dtype == object:
         approx = np.fromiter(map(_approx, nums, dens), dtype=np.float64, count=n)
+    else:
+        approx = nums / dens
     by_float = np.argsort(approx)
     ranked = approx[by_float]
     new_run = ranked[1:] != ranked[:-1]
@@ -169,11 +146,7 @@ def _rank_order(strategy: Strategy, g: WeightedGraph) -> np.ndarray:
     order = np.sort(run * n + by_float) % n  # each key is below n**2
     tied = np.flatnonzero(~new_run)
     a, b = order[tied], order[tied + 1]
-    if exact is not None:
-        mixed = tied[nums[a] * dens[b] != nums[b] * dens[a]].tolist()
-    else:
-        mixed = [i for i, u, v in zip(tied.tolist(), a.tolist(), b.tolist())
-                 if nums[u] * dens[v] != nums[v] * dens[u]]
+    mixed = tied[nums[a] * dens[b] != nums[b] * dens[a]].tolist()
     if mixed:
         order = order.tolist()
         runs = [0, *(np.flatnonzero(new_run) + 1).tolist(), n]

@@ -19,7 +19,7 @@ a star), go to HiGHS's interior-point solver with crossover, every other
 program to its dual simplex; both end at a vertex.  :func:`certify` checks
 a solution with its duals in exact rational arithmetic, using the safe dual
 bound of Neumaier & Shcherbina (Math. Prog. 2004), and runs no solver.
-scipy is imported inside :func:`solve_lp`, so commands that never solve an
+scipy is imported inside :func:`_run_highs`, so commands that never solve an
 LP do not pay for importing it.
 """
 from __future__ import annotations
@@ -329,9 +329,9 @@ def certify(lp: LinearProgram, sol: FractionalSolution) -> Certificate:
     return Certificate(objective, lower_bound, feasible, gap)
 
 
-def lp_text(lp: LinearProgram, name: str = "alpha_rate_cover") -> str:
+def lp_text(lp: LinearProgram) -> str:
     """Human-readable LP-format rendering, for diffing against other solvers."""
-    lines = [f"\\ {name}", "Minimize", " obj: " + " + ".join(
+    lines = ["\\ alpha_rate_cover", "Minimize", " obj: " + " + ".join(
         f"{int(w)} x{j}" for j, w in enumerate(lp.weights))]
     lines.append("Subject To")
     for i, row in enumerate(lp.rows):

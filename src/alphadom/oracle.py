@@ -13,6 +13,7 @@ import numpy as np
 from .graph import DominatingSet, DominationInstance
 
 BRUTE_FORCE_LIMIT = 22
+TAIL_SLACK = 1e-12  # float error that check_theorem_half forgives below 1/2
 
 
 class InstanceTooLargeError(ValueError):
@@ -133,14 +134,14 @@ def poisson_binomial_tail(probs, k: int) -> float:
     return float(dp[k])
 
 
-def check_theorem_half(probs, k: int, slack: float = 1e-12) -> bool:
+def check_theorem_half(probs, k: int) -> bool:
     """Validate the at-least-one-half coverage tail on one parameter vector.
 
     Requires sum(probs) >= k.  Returns True when the exact tail P(X >= k)
-    clears 1/2 (within ``slack``); a False return signals an implementation
-    bug somewhere, not an expected outcome.
+    clears 1/2 (within :data:`TAIL_SLACK`); a False return signals an
+    implementation bug somewhere, not an expected outcome.
     """
     total = math.fsum(float(p) for p in probs)
     if total < k - 1e-9:
         raise ValueError(f"sum of probabilities {total} below threshold {k}")
-    return poisson_binomial_tail(probs, k) >= 0.5 - slack
+    return poisson_binomial_tail(probs, k) >= 0.5 - TAIL_SLACK

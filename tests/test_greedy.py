@@ -2,6 +2,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,8 @@ from alphadom import (DominatingSet, DominationInstance, Strategy, WeightedGraph
                       ingest_graph, is_feasible, repair, sort_key,
                       write_edge_list, write_weight_table)
 from alphadom import _native, greedy
-from alphadom.greedy import _int64_ratios, _weight_keys, rank_order
+from alphadom.graph import _exact_weights
+from alphadom.greedy import _ratios, _weight_keys, rank_order
 
 from .strategies import instances, weighted_graphs
 
@@ -110,7 +112,9 @@ def test_rank_order_matches_sort_key(g):
 def test_numpy_ranks_only_inside_the_bounds():
     def fits(weights, edges=((0, 1), (2, 3))):
         g = WeightedGraph.from_edges(4, list(edges), weights)
-        return [_int64_ratios(s, g) is not None for s in Strategy]
+        dtypes = [{a.dtype for a in _ratios(s, g)} for s in Strategy]
+        assert all(len(d) == 1 for d in dtypes)  # numerators and denominators alike
+        return [d == {np.dtype(np.int64)} for d in dtypes]
 
     assert fits([W, W + 1, W - 1, W]) == [True, True, True]
     assert fits([W + 1, W + 2, W, W + 1]) == [True, True, False]
@@ -123,6 +127,55 @@ def test_numpy_ranks_only_inside_the_bounds():
     assert _weight_keys(WeightedGraph.from_edges(2, [], [2**62 - 2, 1])) is not None
     assert _weight_keys(WeightedGraph.from_edges(2, [], [2**62 - 1, 1])) is None
     assert _weight_keys(WeightedGraph.from_edges(1, [], [2**64])) is None
+
+    # the weights: int64 while the largest weight times n is below 2**63, so
+    # that no sum of distinct weights can wrap
+    def weights_dtype(n, weight):
+        return _exact_weights(WeightedGraph.from_edges(n, [], [weight] * n)).dtype
+
+    assert weights_dtype(7, (2**63 - 1) // 7) == np.int64  # 7 * weight = 2**63 - 1
+    assert weights_dtype(1, 2**63 - 1) == np.int64
+    assert weights_dtype(2, 2**62) == object  # 2 * weight = 2**63
+    assert weights_dtype(1, 2**63) == object  # past int64
+    assert weights_dtype(0, 1) == np.int64
+    # past that bound the ratios still read int64 where their own bounds hold
+    wide = WeightedGraph.from_edges(2048, [], [2**52] * 2048)  # 2048 * 2**52 = 2**63
+    assert _exact_weights(wide).dtype == object
+    assert [_ratios(s, wide)[0].dtype == np.int64 for s in Strategy] == [True, True, False]
+    assert _weight_keys(wide) is None
+
+
+# the largest weight times n at 2**63 - 1, where every set sums in int64, and
+# at 2**63 and past it, where a sum of two weights passes int64
+SUM_BOUND_GRAPHS = [
+    WeightedGraph.from_edges(7, [(0, 1)], [(2**63 - 1) // 7] * 7),
+    WeightedGraph.from_edges(1, [], [2**63 - 1]),
+    WeightedGraph.from_edges(2, [(0, 1)], [2**62] * 2),
+    WeightedGraph.from_edges(3, [], [2**62, 2**62 - 1, 5]),
+    WeightedGraph.from_edges(3, [(1, 2)], [2**64 + 1, 2**63 - 1, 1]),
+]
+
+
+def assert_exact_set_weights(g, members):
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(members)] = True
+    expected = sum(g.weights[v] for v in set(members))
+    for d in (DominatingSet.from_mask(g, mask), DominatingSet.from_members(g, members)):
+        assert type(d.total_weight) is int
+        assert d.total_weight == d.recomputed_weight(g) == expected
+
+
+@pytest.mark.parametrize("g", SUM_BOUND_GRAPHS, ids=lambda g: f"n{g.n}-top{max(g.weights)}")
+def test_set_weights_on_both_sides_of_the_sum_bound(g):
+    for members in (range(g.n), range(0, g.n, 2), range(1, g.n), [g.n - 1], []):
+        assert_exact_set_weights(g, members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hard_weighted_graphs(), st.data())
+def test_set_weights_with_hard_weights(g, data):
+    members = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    assert_exact_set_weights(g, members)
 
 
 class TestGreedyDominate:
