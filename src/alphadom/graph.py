@@ -106,9 +106,8 @@ class WeightedGraph:
     The neighbours of ``v`` are ``indices[indptr[v]:indptr[v+1]]``, sorted
     ascending; the solvers read these CSR arrays, and their index-ordered
     scans pin down every deterministic tie-break.  ``adjacency[v]`` is the
-    same row as a tuple of Python ints, for Python loops and callers (all
-    rows are built on first access).  Weights stay Python ints, so they may
-    exceed the int64 range.
+    same row as a tuple of Python ints (all rows are built on first access).
+    Weights stay Python ints, so they may exceed the int64 range.
     """
 
     __slots__ = ("n", "indptr", "indices", "weights", "labels", "_adjacency",
