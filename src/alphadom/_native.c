@@ -5,11 +5,12 @@
 
    alphadom._native builds this file with the system C compiler on first use
    and calls it through ctypes; each kernel has a Python twin that is both
-   the fallback without a compiler and the reference for its results.  The
-   twins of the local moves and of the fill scan take the kernel's own
-   arguments and return its results, so a caller makes one call to either;
-   the parser's twins are line scanners that also take the file paths,
-   which their errors name.  Graphs are CSR (indptr, indices) with int64 entries; a row lists the
+   the fallback without a compiler and the reference for its results.  Each
+   kernel takes one form of each argument.  The twins of the local moves
+   and of the fill scan take the kernel's own arguments and give its
+   results, so a caller makes one call to either; the parser's twins are
+   line scanners that also take the file paths, which their errors name.
+   Graphs are CSR (indptr, indices) with int64 entries; a row lists the
    neighbours of a vertex other than itself. */
 #include <stdint.h>
 #include <stdlib.h>
@@ -23,9 +24,9 @@
    one moves nothing.  Gains are exact int64 values: every factor is at most
    2m and the caller keeps 2m <= 2^31, so no product passes 2^62.
 
-   Edge weights are int64 or, when weights is NULL, unit weights.  comm
-   receives the community of every vertex.  Returns 1 if any vertex moved,
-   0 if none did, -1 if memory ran out. */
+   weights[e] is the int64 weight of the edge at CSR entry e; the first
+   level passes all ones.  comm receives the community of every vertex.
+   Returns 1 if any vertex moved, 0 if none did, -1 if memory ran out. */
 int64_t alphadom_local_moves(int64_t n, const int64_t *indptr, const int64_t *indices,
                              const int64_t *weights, const int64_t *strength,
                              int64_t two_m, int64_t *comm)
@@ -53,7 +54,7 @@ int64_t alphadom_local_moves(int64_t n, const int64_t *indptr, const int64_t *in
                 int64_t c = comm[indices[e]];
                 if (links[c] == 0)
                     seen[count++] = c;
-                links[c] += weights != NULL ? weights[e] : 1;
+                links[c] += weights[e];
             }
             int64_t base = links[cv] * two_m - (sigma[cv] - kv) * kv;
             int64_t best_c = cv, best_gain = base;
@@ -172,15 +173,12 @@ static void select_smallest(int64_t *a, int64_t len, int64_t k)
    in; select_smallest moves them to the front of the candidates in O(d)
    time on average and O(d log d) at worst for a row of d.  cover holds the
    closed-neighbourhood coverage of the members marked in in_set; both are
-   updated as vertices are added.  added receives the added vertices in the
-   order they were taken, and needs room for n.  Returns their count, or -1
-   if memory ran out. */
+   updated as vertices are added, and are the scan's only output.  Returns
+   0, or -1 if memory ran out. */
 int64_t alphadom_fill(int64_t n, const int64_t *indptr, const int64_t *indices,
                       const int64_t *rank, const int64_t *demands, int64_t *cover,
-                      uint8_t *in_set, int64_t *added)
+                      uint8_t *in_set)
 {
-    int64_t count = 0;
-
     if (n == 0)
         return 0;
     int64_t *vertex = malloc((size_t)n * sizeof *vertex);          /* the inverse of rank */
@@ -208,7 +206,6 @@ int64_t alphadom_fill(int64_t n, const int64_t *indptr, const int64_t *indices,
         for (int64_t i = 0; i < need; i++) {
             int64_t u = vertex[candidates[i]];
             in_set[u] = 1;
-            added[count++] = u;
             cover[u]++;
             for (int64_t e = indptr[u]; e < indptr[u + 1]; e++)
                 cover[indices[e]]++;
@@ -216,7 +213,7 @@ int64_t alphadom_fill(int64_t n, const int64_t *indptr, const int64_t *indices,
     }
     free(vertex);
     free(candidates);
-    return count;
+    return 0;
 }
 
 /* What alphadom_ingest returns: 0 when it parsed both files; a decline code

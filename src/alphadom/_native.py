@@ -78,9 +78,10 @@ def _kernel(name: str, fallback: str):
 @functools.cache
 def local_moves():
     """The C phase as ``run(indptr, indices, weights, strength, two_m) ->
-    (community of each vertex, whether anything moved)``, or None when it
-    cannot be built or loaded (with a warning that says why).  ``weights``
-    is None for unit weights; the caller keeps ``two_m`` at most 2**31."""
+    (community of each vertex as int64, whether anything moved)``, or None
+    when it cannot be built or loaded (with a warning that says why).
+    ``weights`` holds the integer weight of every CSR entry (all ones at
+    Louvain's first level); the caller keeps ``two_m`` at most 2**31."""
     fn = _kernel("alphadom_local_moves",
                  "Louvain local moves run in Python, since the C phase")
     if fn is None:
@@ -89,36 +90,36 @@ def local_moves():
     fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                    ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
 
-    def run(indptr, indices, weights, strength, two_m: int) -> tuple[list[int], bool]:
-        indptr, indices, strength = (np.ascontiguousarray(a, dtype=np.int64)
-                                     for a in (indptr, indices, strength))
-        if weights is not None:
-            weights = np.ascontiguousarray(weights, dtype=np.int64)
-        comm = np.empty(len(strength), dtype=np.int64)
-        moved = fn(len(strength), indptr.ctypes.data, indices.ctypes.data,
-                   None if weights is None else weights.ctypes.data,
+    def run(indptr, indices, weights, strength, two_m: int) -> tuple[np.ndarray, bool]:
+        indptr, indices, weights, strength = (np.ascontiguousarray(a, dtype=np.int64)
+                                              for a in (indptr, indices, weights, strength))
+        n = len(strength)
+        if len(indptr) != n + 1 or len(weights) != len(indices):
+            raise ValueError("the local moves take n + 1 row offsets, n strengths and "
+                             "one weight per column index")
+        comm = np.empty(n, dtype=np.int64)
+        moved = fn(n, indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data,
                    strength.ctypes.data, two_m, comm.ctypes.data)
         if moved < 0:
             raise MemoryError("Louvain local moves: out of memory")
-        return comm.tolist(), bool(moved)
+        return comm, bool(moved)
 
     return run
 
 
 @functools.cache
 def fill():
-    """The C fill scan as ``run(indptr, indices, rank, demands, cover, in_set)
-    -> added vertices``, or None when it cannot be built or loaded (with a
-    warning that says why).  ``cover`` (int64) and ``in_set`` (uint8) are
-    updated in place."""
+    """The C fill scan as ``run(indptr, indices, rank, demands, cover,
+    in_set)``, which updates ``cover`` (int64) and ``in_set`` (uint8) in
+    place and returns None, or None when it cannot be built or loaded (with
+    a warning that says why)."""
     fn = _kernel("alphadom_fill", "The greedy fill scan runs in Python, since the C scan")
     if fn is None:
         return None
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 7]
+    fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 6]
 
-    def run(indptr, indices, rank, demands, cover: np.ndarray,
-            in_set: np.ndarray) -> np.ndarray:
+    def run(indptr, indices, rank, demands, cover: np.ndarray, in_set: np.ndarray) -> None:
         indptr, indices, rank, demands = (np.ascontiguousarray(a, dtype=np.int64)
                                           for a in (indptr, indices, rank, demands))
         n = len(rank)
@@ -127,13 +128,9 @@ def fill():
                 for a, dtype in ((cover, np.int64), (in_set, np.uint8))):
             raise ValueError("the fill scan takes n + 1 row offsets, n ranks and demands, and "
                              "updates n int64 counts and n uint8 flags in place")
-        added = np.empty(n, dtype=np.int64)
-        count = fn(n, indptr.ctypes.data, indices.ctypes.data, rank.ctypes.data,
-                   demands.ctypes.data, cover.ctypes.data, in_set.ctypes.data,
-                   added.ctypes.data)
-        if count < 0:
+        if fn(n, indptr.ctypes.data, indices.ctypes.data, rank.ctypes.data,
+              demands.ctypes.data, cover.ctypes.data, in_set.ctypes.data) < 0:
             raise MemoryError("greedy fill scan: out of memory")
-        return added[:count]
 
     return run
 

@@ -241,12 +241,10 @@ def _run_cell(inst: DominationInstance, graph_id: str, alpha: Fraction,
                      elapsed_ms, seed, feasible)
 
 
-def _cell_worker(args) -> ResultRow:
-    return _run_cell(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[ResultRow], dict]:
-    """Run every (graph, alpha, algorithm, repetition) cell of the grid.
+    """Run every (graph, alpha, algorithm, repetition) cell of the grid, in
+    this process or, when ``jobs`` and the cell count are both above 1, in
+    a pool of ``min(jobs, cells)`` worker processes.
 
     Timing covers the solver call only.  Rows come back sorted by their grid
     coordinates regardless of scheduling, so the emitted CSV is byte-stable.
@@ -264,9 +262,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[ResultRow
                         seed = derive_seed(cfg.base_seed, graph_id, alpha, algo, rep)
                         tasks.append((inst, graph_id, alpha, algo, seed))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_worker, tasks, chunksize=1))
+    # a pool starts all of its workers at the first submit, so it gets no
+    # more than there are cells
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_run_cell, *zip(*tasks), chunksize=1))
     else:
         rows = [_run_cell(*task) for task in tasks]
 

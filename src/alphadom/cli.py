@@ -64,6 +64,16 @@ _GENERATE_FLAGS = {
 _GENERATE_DEFAULTS = {"triangle_prob": 0.8}
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return value
+
+
 def _load_graph(args):
     if args.bundle:
         return graph_io.read_graph_bundle(args.bundle)
@@ -113,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output prefix; writes <out>.csv and <out>.json")
     bench.add_argument("--no-timing", action="store_true",
                        help="zero the timing column for byte-exact comparisons")
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=_worker_count, default=1,
+                       help="worker processes, at most one per cell (default 1)")
 
     comm = sub.add_parser("communities", help="dump the detected partition as CSV")
     _add_graph_inputs(comm)

@@ -92,11 +92,11 @@ def modularity(g: WeightedGraph, p: Partition) -> float:
     return _modularity(g, np.asarray(p.community_of, dtype=np.int64))
 
 
-def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
-                 strength: np.ndarray, two_m: int) -> tuple[list[int], bool]:
+def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 strength: np.ndarray, two_m: int) -> tuple[np.ndarray, bool]:
     """One complete local-move phase over one level, on its CSR rows with
-    integer weights ``data`` (None: unit weights); returns (community of each
-    level vertex, whether anything moved).
+    the integer weight of every entry in ``data``; returns (community of
+    each level vertex as int64, whether anything moved).
 
     The phase runs in C (:mod:`alphadom._native`) when that can be built and
     2m is at most ``_NATIVE_MAX_TWO_M``, and otherwise in Python
@@ -107,37 +107,32 @@ def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | Non
     return phase(indptr, indices, data, strength, two_m)
 
 
-def _local_moves_py(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
-                    strength: np.ndarray, two_m: int) -> tuple[list[int], bool]:
+def _local_moves_py(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                    strength: np.ndarray, two_m: int) -> tuple[np.ndarray, bool]:
     """The local-move phase of :func:`_local_moves` in Python, with the
     arguments and the results of the C phase (``run`` of
     :func:`alphadom._native.local_moves`).
 
     The row of v lists the neighbours of v other than itself, each once,
-    with integer weights from ``data``, or unit weights when ``data`` is
-    None.  Vertices are scanned in ascending index order and moved to the
-    neighbouring community with the greatest strictly positive modularity
-    gain; equal gains resolve to the lowest community id.  Sweeps repeat
-    until a full sweep moves nothing.  A gain is compared as the integer
-    ``links * 2m - sigma * k_v``, 2m times the usual
-    ``links - sigma * k_v / 2m``, so no comparison rounds.
+    with integer weights from ``data``.  Vertices are scanned in ascending
+    index order and moved to the neighbouring community with the greatest
+    strictly positive modularity gain; equal gains resolve to the lowest
+    community id.  Sweeps repeat until a full sweep moves nothing.  A gain
+    is compared as the integer ``links * 2m - sigma * k_v``, 2m times the
+    usual ``links - sigma * k_v / 2m``, so no comparison rounds.
 
     Every vertex keeps its link weight to each neighbouring community in a
     dict, and a move updates only the mover's neighbours' dicts.  A count
     that drops to zero is deleted, so the keys are exactly the communities
     a full recount would find; the choice does not depend on their order.
     """
-    bounds = indptr.tolist()
-    rows = _split_rows(bounds, indices)
-    weights = None if data is None else _split_rows(bounds, data)
+    bounds, flat, weights = indptr.tolist(), indices.tolist(), data.tolist()
+    rows = [list(zip(flat[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
     strength = strength.tolist()
     n = len(rows)
     comm = list(range(n))
     sigma = list(strength)  # total strength per community
-    if weights is None:
-        links_of = [dict.fromkeys(row, 1) for row in rows]
-    else:
-        links_of = [dict(zip(row, ws)) for row, ws in zip(rows, weights)]
+    links_of = [dict(row) for row in rows]
     moved_any = False
     while True:
         moved = False
@@ -158,34 +153,24 @@ def _local_moves_py(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | 
             if best_c != cv:
                 comm[v] = best_c
                 moved = moved_any = True
-                if weights is None:  # level 0: a loop without weights is faster
-                    for u in rows[v]:
-                        counts = links_of[u]
-                        left = counts[cv] - 1
-                        if left:
-                            counts[cv] = left
-                        else:
-                            del counts[cv]
-                        counts[best_c] = counts.get(best_c, 0) + 1
-                else:
-                    for u, w in zip(rows[v], weights[v]):
-                        counts = links_of[u]
-                        left = counts[cv] - w
-                        if left:
-                            counts[cv] = left
-                        else:
-                            del counts[cv]
-                        counts[best_c] = counts.get(best_c, 0) + w
+                for u, w in rows[v]:
+                    counts = links_of[u]
+                    left = counts[cv] - w
+                    if left:
+                        counts[cv] = left
+                    else:
+                        del counts[cv]
+                    counts[best_c] = counts.get(best_c, 0) + w
         if not moved:
-            return comm, moved_any
+            return np.array(comm, dtype=np.int64), moved_any
 
 
-def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
+def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                comm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next level: communities contracted to vertices, the CSR rows of
-    the product Pᵀ A P with the edges inside a community (its diagonal)
-    dropped, since a self-loop enters the gains only through the vertex
-    strength.
+    the product Pᵀ A P of the level's int64 weights ``data`` with the edges
+    inside a community (its diagonal) dropped, since a self-loop enters the
+    gains only through the vertex strength.
 
     Every off-diagonal entry gets the key ``comm[row] * k + comm[col]``; one
     stable sort brings equal keys together, and ``np.add.reduceat`` sums
@@ -198,11 +183,10 @@ def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray | None,
     keys = rows[off] * k + cols[off]
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    weights = np.ones(len(keys), dtype=np.int64) if data is None else data[off][order]
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
     keys = keys[firsts]
     return (_indptr(np.bincount(keys // k, minlength=k)), keys % k,
-            np.add.reduceat(weights, firsts))
+            np.add.reduceat(data[off][order], firsts))
 
 
 def _first_appearance(ids: np.ndarray) -> np.ndarray:
@@ -214,11 +198,6 @@ def _first_appearance(ids: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def _split_rows(bounds: list[int], values: np.ndarray) -> list[list[int]]:
-    flat = values.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def louvain(g: WeightedGraph) -> Partition:
     """Greedy modularity maximization by local moves plus aggregation
     (Blondel et al., arXiv:0803.0476).
@@ -226,10 +205,11 @@ def louvain(g: WeightedGraph) -> Partition:
     Fully deterministic: the scan order is ascending vertex index and ties
     prefer the lowest community id, so the partition depends on the graph
     alone.  It is therefore computed once per graph object and kept on the
-    graph; later calls return the same :class:`Partition`.  Level 0 reads
-    the graph's own CSR rows with unit weights, and each later level is
-    contracted from the last (:func:`_aggregate`) with integer weights, so
-    every gain is an exact integer and no comparison depends on rounding.
+    graph; later calls return the same :class:`Partition`.  Every level is
+    CSR rows with int64 weights: level 0 is the graph's own rows with
+    weights all one, and each later level is contracted from the last
+    (:func:`_aggregate`), so every gain is an exact integer and no
+    comparison depends on rounding.
     """
     if g._partition is None:
         g._partition = _louvain(g)
@@ -240,7 +220,8 @@ def _louvain(g: WeightedGraph) -> Partition:
     if g.n == 0:
         return Partition((), 0)
     two_m = 2 * g.edge_count
-    indptr, indices, data = g.indptr, g.indices, None
+    indptr, indices = g.indptr, g.indices
+    data = np.ones(len(indices), dtype=np.int64)
     strength = np.diff(indptr)  # per level vertex: the degrees of its members, summed
     membership = np.arange(g.n)  # original vertex -> current level vertex
     best_q = _modularity(g, membership)
@@ -248,7 +229,7 @@ def _louvain(g: WeightedGraph) -> Partition:
         comm, moved = _local_moves(indptr, indices, data, strength, two_m)
         if not moved:
             break
-        comm = _first_appearance(np.asarray(comm))
+        comm = _first_appearance(comm)
         membership = comm[membership]
         q = _modularity(g, membership)
         if q <= best_q + _GAIN_TOL:

@@ -178,16 +178,14 @@ def _fill(inst: DominationInstance, strategy: Strategy, start: DominatingSet,
 
 
 def _fill_py(indptr: np.ndarray, indices: np.ndarray, rank: np.ndarray, demands: np.ndarray,
-             cover: np.ndarray, in_set: np.ndarray) -> np.ndarray:
-    """The scan of :func:`_fill` as a Python loop, with the arguments and the
-    result of the C scan (``run`` of :func:`alphadom._native.fill`): the
-    fallback without a C compiler and the reference for the C scan.
-    ``cover`` (int64) and ``in_set`` (uint8) are updated in place; returns
-    the added vertices in the order they were taken, as int64."""
+             cover: np.ndarray, in_set: np.ndarray) -> None:
+    """The scan of :func:`_fill` as a Python loop, with the arguments of the
+    C scan (``run`` of :func:`alphadom._native.fill`): the fallback without
+    a C compiler and the reference for the C scan.  Like it, it updates
+    ``cover`` (int64) and ``in_set`` (uint8) in place, its only output."""
     bounds, flat, order = indptr.tolist(), indices.tolist(), rank.tolist()
     taken = bytearray(in_set.tobytes())
     counts = cover.tolist()
-    added: list[int] = []
 
     for v, demand in enumerate(demands.tolist()):
         need = demand - counts[v]
@@ -199,14 +197,12 @@ def _fill_py(indptr: np.ndarray, indices: np.ndarray, rank: np.ndarray, demands:
         candidates.sort(key=order.__getitem__)
         for u in candidates[:need]:
             taken[u] = 1
-            added.append(u)
             counts[u] += 1
             for t in flat[bounds[u]:bounds[u + 1]]:
                 counts[t] += 1
 
     cover[:] = counts
     in_set[:] = np.frombuffer(taken, dtype=np.uint8)
-    return np.array(added, dtype=np.int64)
 
 
 def greedy_dominate(inst: DominationInstance, strategy: Strategy) -> DominatingSet:

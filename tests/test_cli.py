@@ -238,6 +238,16 @@ class TestBench:
                            "--out", str(tmp_path / "x"))
         assert code == 1 and err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        cfg = {"alphas": ["1/2"], "algorithms": ["greedy-s1"],
+               "sources": [{"kind": "gnm", "label": "er", "n": 15, "m": 30}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"), "--jobs", jobs)
+        assert code == 1 and "--jobs" in err and "at least 1" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         cfg = {"alphas": ["1/2"], "algorithm": ["greedy-s1"],
                "sources": [{"kind": "gnm", "label": "er", "n": 15, "m": 30}]}

@@ -33,10 +33,10 @@ def assert_same_fill(inst, strategy, start):
     direct = []
     for scan in (NATIVE, greedy._fill_py):
         cover, flags = coverage_counts(g, start), in_set.copy()
-        added = scan(g.indptr, g.indices, rank, inst.demand_array(), cover, flags)
-        direct.append((set(added.tolist()), cover.tolist(), flags.tolist()))
+        assert scan(g.indptr, g.indices, rank, inst.demand_array(), cover, flags) is None
+        direct.append((cover.tolist(), flags.tolist()))
     assert direct[0] == direct[1]
-    assert not start.members & direct[0][0]
+    assert np.all(np.asarray(direct[0][1])[in_set == 1] == 1)  # every start member stays
 
     results = []
     with pytest.MonkeyPatch.context() as monkeypatch:

@@ -15,6 +15,7 @@ from alphadom import (ExperimentConfig, GraphSource, IngestError, WeightSpec,
                       run_experiment, summarize, write_edge_list,
                       write_graph_bundle, write_rows_csv, write_solution,
                       write_summary_json, write_weight_table)
+from alphadom import bench
 from alphadom.bench import CSV_HEADER
 from alphadom.graph import DominatingSet, WeightedGraph, connected_components
 
@@ -333,6 +334,38 @@ class TestExperiment:
         strip = lambda rows: [(r.graph, r.alpha, r.algorithm, r.size, r.weight, r.seed)
                               for r in rows]
         assert strip(seq) == strip(par)
+
+    def test_pool_gets_no_more_workers_than_cells(self, monkeypatch):
+        asked = []
+
+        class Recorder:
+            """Records the pool size asked for and runs the cells in this
+            process, so no worker is ever started."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Recorder)
+        strip = lambda rows: [(r.graph, r.alpha, r.algorithm, r.size, r.weight, r.seed)
+                              for r in rows]
+        four = ExperimentConfig.from_dict(tiny_config(repetitions=1, alphas=["1/2"]))
+        rows, _ = run_experiment(four, jobs=64)
+        assert asked == [4]  # 2 graphs x 2 algorithms
+        assert strip(rows) == strip(run_experiment(four, jobs=1)[0])
+        one = ExperimentConfig.from_dict(tiny_config(
+            repetitions=1, alphas=["1/2"], algorithms=["rr"],
+            sources=[{"kind": "gnm", "label": "er", "count": 1, "n": 20, "m": 50}]))
+        assert len(run_experiment(one, jobs=64)[0]) == 1
+        assert asked == [4]  # a single cell runs in this process
 
     def test_file_source(self, tmp_path):
         g = assign_weights(gen_gnm(15, 30, 1), WeightSpec(1, 9), 2)

@@ -16,8 +16,6 @@ def scipy_aggregate(indptr, indices, data, comm):
     from scipy.sparse import csr_array
 
     n, k = len(comm), int(comm.max()) + 1
-    if data is None:
-        data = np.ones(len(indices), dtype=np.int64)
     a = csr_array((data, indices, indptr), shape=(n, n))
     p = csr_array((np.ones(n, dtype=np.int64), (np.arange(n), comm)), shape=(n, k))
     b = (p.T @ a @ p).tocoo()
@@ -36,11 +34,12 @@ def assert_same_level(got, want):
 @st.composite
 def levels(draw):
     """(indptr, indices, data, comm): a level's symmetric CSR rows without
-    self-loops, integer weights (None: unit weights) and communities
-    numbered by first appearance, sometimes all one community."""
+    self-loops, int64 weights (sometimes all one, as at Louvain's first
+    level) and communities numbered by first appearance, sometimes all one
+    community."""
     g = draw(weighted_graphs(max_n=20))
     indptr, indices = g.indptr, g.indices
-    data = None
+    data = np.ones(len(indices), dtype=np.int64)
     if draw(st.booleans()):
         # one weight per undirected edge, the same in both of its rows
         owners = np.repeat(np.arange(g.n), np.diff(indptr))
@@ -66,9 +65,10 @@ def test_aggregate_matches_the_sparse_product(level):
 def test_aggregate_of_one_community_has_no_entries():
     g = gen_gnm(30, 100, 3)
     comm = np.zeros(g.n, dtype=np.int64)
-    indptr, indices, data = community._aggregate(g.indptr, g.indices, None, comm)
+    ones = np.ones(len(g.indices), dtype=np.int64)
+    indptr, indices, data = community._aggregate(g.indptr, g.indices, ones, comm)
     assert indptr.tolist() == [0, 0] and len(indices) == 0 and len(data) == 0
-    assert_same_level((indptr, indices, data), scipy_aggregate(g.indptr, g.indices, None, comm))
+    assert_same_level((indptr, indices, data), scipy_aggregate(g.indptr, g.indices, ones, comm))
 
 
 def test_every_level_of_louvain_matches_the_sparse_product(monkeypatch):
@@ -77,7 +77,7 @@ def test_every_level_of_louvain_matches_the_sparse_product(monkeypatch):
     def checked(indptr, indices, data, comm):
         got = aggregate(indptr, indices, data, comm)
         assert_same_level(got, scipy_aggregate(indptr, indices, data, comm))
-        seen.append(data is None)
+        seen.append(bool(np.all(data == 1)))
         return got
 
     aggregate = community._aggregate
@@ -85,7 +85,7 @@ def test_every_level_of_louvain_matches_the_sparse_product(monkeypatch):
     for g in (gen_gnm(1000, 10_000, 1), gen_planted_partition(10, 100, 0.2, 0.001, 2),
               gen_powerlaw_cluster(2000, 3, 0.3, 1)):
         louvain(g)
-    assert True in seen and False in seen  # unit-weight and weighted levels
+    assert True in seen and False in seen  # levels of weights all one, and heavier ones
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,6 +4,7 @@ built (with a warning) or 2m is past its int64 range."""
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -27,13 +28,17 @@ SEEDED = {
 
 
 def assert_same_moves_at_every_level(g, monkeypatch):
+    """Both phases make the same moves at every level of Louvain on ``g``;
+    returns each level's weights."""
     levels = []
 
     def both(indptr, indices, data, strength, two_m):
-        got = NATIVE(indptr, indices, data, strength, two_m)
-        assert got == community._local_moves_py(indptr, indices, data, strength, two_m)
-        levels.append(data is not None)
-        return got
+        comm, moved = NATIVE(indptr, indices, data, strength, two_m)
+        py_comm, py_moved = community._local_moves_py(indptr, indices, data, strength, two_m)
+        assert comm.dtype == py_comm.dtype == np.int64
+        assert (comm.tolist(), moved) == (py_comm.tolist(), py_moved)
+        levels.append(data)
+        return comm, moved
 
     monkeypatch.setattr(community, "_local_moves", both)
     community._louvain(g)
@@ -53,7 +58,20 @@ def test_same_moves_as_python_on_small_graphs(g):
 def test_same_moves_as_python_on_seeded_graphs(name, monkeypatch):
     g = assign_weights(SEEDED[name](), WeightSpec(1, 71), 4)
     levels = assert_same_moves_at_every_level(g, monkeypatch)
-    assert levels[0] is False and True in levels  # unit weights, then contracted levels
+    assert all(data.dtype == np.int64 for data in levels)
+    assert np.all(levels[0] == 1)  # the graph's own rows, each edge of weight one
+    assert len(levels) > 1  # then contracted levels, whose weights sum edges
+    later = np.concatenate(levels[1:])
+    # the star contracts to one vertex, which has no edge
+    assert later.max() > 1 if name != "star" else len(later) == 0
+
+
+@needs_native
+def test_native_phase_refuses_weights_of_another_length():
+    g = gen_gnm(20, 40, 1)
+    with pytest.raises(ValueError, match="one weight per column index"):
+        NATIVE(g.indptr, g.indices, np.ones(len(g.indices) - 1, dtype=np.int64),
+               np.diff(g.indptr), 2 * g.edge_count)
 
 
 def test_python_phase_without_a_compiler(tmp_path, monkeypatch):
