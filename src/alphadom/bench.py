@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,6 +88,16 @@ def _param(label: str | None, key: str, value, kind: type):
         return kind(value)
     where = "" if label is None else f"source {label!r}: "
     raise ValueError(f"{where}{key!r} must be {kind.__name__}, got {value!r}")
+
+
+def _rate(value) -> Fraction:
+    """An ``alphas`` entry: a number or fraction string in (0, 1], not a boolean."""
+    if not isinstance(value, bool):
+        try:
+            return as_alpha(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"'alphas': {value!r} is not a coverage rate in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -186,9 +197,15 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for algo in self.algorithms:
-            if algo not in ALGORITHMS:
+            if not isinstance(algo, str) or algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}; "
                                  f"known: {', '.join(sorted(ALGORITHMS))}")
+        # a repeated id would share its rows' seeds, and its summary, with another
+        ids = Counter(graph_id for source in self.sources for graph_id in source.graph_ids())
+        for graph_id, uses in ids.items():
+            if uses > 1:
+                raise ValueError(f"graph id {graph_id!r} is given {uses} times; "
+                                 "source labels must give distinct graph ids")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -200,9 +217,9 @@ class ExperimentConfig:
                         for position, entry in enumerate(payload.get("sources", [])))
         kwargs = {}
         if "alphas" in payload:
-            kwargs["alphas"] = tuple(as_alpha(a) for a in payload["alphas"])
+            kwargs["alphas"] = tuple(map(_rate, _param(None, "alphas", payload["alphas"], list)))
         if "algorithms" in payload:
-            kwargs["algorithms"] = tuple(payload["algorithms"])
+            kwargs["algorithms"] = tuple(_param(None, "algorithms", payload["algorithms"], list))
         for key in ("repetitions", "base_seed"):
             if key in payload:
                 kwargs[key] = _param(None, key, payload[key], int)

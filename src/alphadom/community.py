@@ -6,15 +6,16 @@ recomputed on the induced subgraph so every local program is feasible in
 isolation), unions the per-community picks, and finishes with the global
 repair sweep so cross-community demands are honored.  Every community's
 program is cut from the closed CSR rows (A + I) of the whole graph in one
-pass, and rounded on those same rows.  The community LPs run on a thread
-pool that the process keeps from call to call, with a thread per available
-CPU but no more than the most LPs a call has had, since HiGHS releases the
-GIL while it solves; the result does not depend on the thread count.
+pass, and rounded on those same rows.  The community LPs run on one
+thread pool that the process builds once and keeps, of at most one thread
+per CPU it may run on, each started only when an LP finds no idle one,
+since HiGHS releases the GIL while it solves; the result does not depend on
+the thread count.
 """
 from __future__ import annotations
 
+import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _native
-from .graph import DominatingSet, DominationInstance, WeightedGraph, _indptr, demands
+from .graph import DominatingSet, DominationInstance, WeightedGraph, _indptr, _rows, demands
 from .lp import LinearProgram, solve_lp
 from .rounding import default_max_rounds, repair, round_rows
 # Not called here, but perfbench/tracer.py POINTS wraps these by their names in
@@ -74,7 +75,7 @@ def _modularity(g: WeightedGraph, community_of: np.ndarray) -> float:
         return 0.0
     k = int(community_of.max()) + 1
     deg = np.bincount(community_of, weights=np.diff(g.indptr), minlength=k)
-    owners = community_of[g._owners()]
+    owners = community_of[_rows(g.indptr)]
     # each edge inside a community sits in two rows of the CSR arrays
     twice_intra = np.bincount(owners[owners == community_of[g.indices]], minlength=k)
     return float(np.sum(twice_intra / 2 / m - (deg / (2 * m)) ** 2))
@@ -177,7 +178,7 @@ def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     their integer weights, so the rows come out with ascending columns.
     """
     k = int(comm.max()) + 1
-    rows = comm[np.repeat(np.arange(len(comm)), np.diff(indptr))]
+    rows = comm[_rows(indptr)]
     cols = comm[indices]
     off = rows != cols
     keys = rows[off] * k + cols[off]
@@ -241,52 +242,29 @@ def _louvain(g: WeightedGraph) -> Partition:
     return Partition(tuple(labels.tolist()), int(labels.max()) + 1)
 
 
-_pool_lock = threading.Lock()
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (its thread count, the pool)
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _lp_pool(lps: int) -> ThreadPoolExecutor:
-    """The process's thread pool for community LPs, with at least
-    ``_pool_size(lps)`` threads.
+@functools.cache
+def _lp_pool() -> ThreadPoolExecutor:
+    """The process's thread pool for community LPs: at most one thread per CPU.
 
-    It is built on first use and kept, so later calls start no thread, and
-    each thread keeps its HiGHS object (:func:`alphadom.lp._thread_highs`)
-    from one call to the next.  It is built again, larger, only when a call
-    needs more threads than it has.  Every thread is started when the pool
-    is built: each waits at a barrier for all the others.
+    It is built on first use and kept, and each of its threads keeps its
+    HiGHS object (:func:`alphadom.lp._thread_highs`) from one call to the
+    next.  The executor starts a thread only when no idle one can take a
+    task, so it holds no more threads than LPs have been in flight at once.
     """
-    global _pool
-    threads = _pool_size(lps)
-    with _pool_lock:
-        if _pool is None or _pool[0] < threads:
-            # a pool that is replaced ends its threads once its last user drops it
-            pool = ThreadPoolExecutor(threads, thread_name_prefix="alphadom-lp")
-            started = threading.Barrier(threads)
-            for ready in [pool.submit(started.wait) for _ in range(threads)]:
-                ready.result()
-            _pool = threads, pool
-        return _pool[1]
-
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child: it holds none of the pool's threads,
-    so a task queued on the inherited pool would never run."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    return ThreadPoolExecutor(_cpus(), thread_name_prefix="alphadom-lp")
 
 
 if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool_size(lps: int) -> int:
-    """Threads for ``lps`` community LPs: one per CPU this process may run
-    on, no more than there are LPs, and never none."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, lps))
+    # a forked child holds none of the pool's threads, so a task queued on
+    # the inherited pool would never run: the child builds its own
+    os.register_at_fork(after_in_child=_lp_pool.cache_clear)
 
 
 def community_programs(g: WeightedGraph, alpha: Fraction,
@@ -304,7 +282,7 @@ def community_programs(g: WeightedGraph, alpha: Fraction,
     """
     community_of = np.asarray(part.community_of, dtype=np.int64)
     indptr, indices = g.closed_csr()
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    rows = _rows(indptr)
     inside = community_of[rows] == community_of[indices]
     rows, cols = rows[inside], indices[inside]
     order = np.argsort(community_of, kind="stable")
@@ -346,12 +324,12 @@ def community_rounding(inst: DominationInstance, seed: int,
     the global repair sweep, so the result is feasible on the full graph for
     every seed.
 
-    Each community LP is handed to the process's kept thread pool
-    (:func:`_lp_pool`) as soon as it is cut, and the rounding then takes the
-    solutions in community-id order, so the set is the one a sequential loop
-    would give.  The pool outlives the call: its threads, and the HiGHS
-    object each one holds, serve every later call, and a forked child builds
-    its own.
+    Each community LP is handed to the process's thread pool
+    (:func:`_lp_pool`, at most one thread per CPU) as soon as it is cut, and
+    the rounding then takes the solutions in community-id order, so the set
+    is the one a sequential loop would give.  The pool is built once and
+    outlives the call: its threads, and the HiGHS object each one holds,
+    serve every later call, and a forked child builds its own.
     """
     g = inst.graph
     part = partition if partition is not None else louvain(g)
@@ -361,7 +339,7 @@ def community_rounding(inst: DominationInstance, seed: int,
     sizes = np.bincount(community_of, minlength=part.k)
     picked = sizes[community_of] == 1  # a singleton's own demand is 1: itself
 
-    pool = _lp_pool(int(np.sum(sizes > 1)))
+    pool = _lp_pool()
     solving = [(cid, verts, lp, pool.submit(solve_lp, lp))
                for cid, verts, lp in community_programs(g, inst.alpha, part)]
     for cid, verts, lp, frac in solving:

@@ -73,6 +73,11 @@ def _indptr(lengths: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of the CSR arrays that ``indptr`` bounds."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -117,14 +122,12 @@ class WeightedGraph:
                  weights: Sequence[int],
                  labels: Sequence[str] | None = None):
         n = len(adjacency)
-        if len(weights) != n:
-            raise ValueError(f"{len(weights)} weights for {n} vertices")
         rows = list(map(tuple, adjacency))
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
         flat = list(chain.from_iterable(rows))
         indices = _as_indices(flat, n)
         indptr = _indptr(lengths)
-        owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        owner = _rows(indptr)
         rising = np.ones(len(indices), dtype=bool)
         rising[1:] = indices[1:] > indices[:-1]
         rising[indptr[:-1][lengths > 0]] = True  # a row's first entry
@@ -161,24 +164,24 @@ class WeightedGraph:
         return g
 
     def _set(self, n, indptr, indices, weights, labels: _Labels | None) -> None:
+        if len(weights) != n:
+            raise ValueError(f"{len(weights)} weights for {n} vertices")
         array = None
         if isinstance(weights, np.ndarray) and weights.dtype == np.int64 and weights.ndim == 1:
             # checked in numpy; the graph keeps its own read-only copy
-            if len(weights) != n:
-                raise ValueError(f"{len(weights)} weights for {n} vertices")
             if n and weights.min() < 1:
                 raise ValueError("vertex weights must be >= 1")
             array = _frozen(weights.copy())
             w = tuple(array.tolist())
         else:
             try:
+                if bool in map(type, weights):  # operator.index reads True as 1
+                    raise TypeError
                 w = tuple(map(operator.index, weights))
             except TypeError:
                 v, bad = next((v, x) for v, x in enumerate(weights)
-                              if not hasattr(x, "__index__"))
+                              if isinstance(x, bool) or not hasattr(x, "__index__"))
                 raise ValueError(f"weight {bad!r} of vertex {v} is not an integer") from None
-            if len(w) != n:
-                raise ValueError(f"{len(w)} weights for {n} vertices")
             if w and min(w) < 1:
                 raise ValueError("vertex weights must be >= 1")
         self.n = n
@@ -249,13 +252,9 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def _owners(self) -> np.ndarray:
-        """The row of every entry of ``indices``."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as (u, v) with u < v, in ascending order."""
-        owners = self._owners()
+        owners = _rows(self.indptr)
         upper = owners < self.indices
         return zip(owners[upper].tolist(), self.indices[upper].tolist())
 
@@ -276,7 +275,7 @@ class WeightedGraph:
         """(indptr, indices) of A + I: each row holds v and its neighbours,
         sorted ascending.  Built once, read-only."""
         if self._closed is None:
-            owners = self._owners()
+            owners = _rows(self.indptr)
             indptr = self.indptr + np.arange(self.n + 1, dtype=np.int64)
             indices = np.empty(indptr[-1], dtype=np.int64)
             # every entry moves down by its row number, and one more past the diagonal

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import DominationInstance
+from .graph import DominationInstance, _rows
 
 GAP_TOL = Fraction(1, 10**9)    # largest relative gap a certificate accepts
 DUAL_DENOMINATOR = 10**9        # rationalization limits of the certificate
@@ -151,22 +151,21 @@ def solve_lp(lp: LinearProgram) -> FractionalSolution:
     crossover leaves no valid basis (the point would not be a vertex).
     """
     m, n = len(lp.bounds), lp.n_vars
-    sizes = np.diff(lp.indptr)
-    tight = lp.bounds == sizes
+    tight = lp.bounds == np.diff(lp.indptr)
     if m and not tight.any():
         values, duals, iterations, backend = _run_highs(lp, n)  # nothing to fix
     else:
-        values, duals, iterations, backend = _fix_and_solve(lp, sizes, tight)
+        values, duals, iterations, backend = _fix_and_solve(lp, tight)
     return FractionalSolution(values, float(lp.weights.astype(float) @ values), iterations,
                               duals, backend)
 
 
-def _fix_and_solve(lp: LinearProgram, sizes: np.ndarray,
+def _fix_and_solve(lp: LinearProgram,
                    tight: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, str]:
     """:func:`solve_lp` on a program with a tight row or with no rows: fix,
     reduce, solve what is left, and set the duals of the tight rows."""
     m, n = len(lp.bounds), lp.n_vars
-    row_of = np.repeat(np.arange(m), sizes)
+    row_of = _rows(lp.indptr)
     in_tight = tight[row_of]
     forced = np.zeros(n, dtype=bool)
     forced[lp.indices[in_tight]] = True

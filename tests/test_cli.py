@@ -238,6 +238,16 @@ class TestBench:
                            "--out", str(tmp_path / "x"))
         assert code == 1 and err
 
+    def test_repeated_graph_id_exit_code(self, tmp_path, capsys):
+        cfg = {"alphas": ["1/2"], "algorithms": ["greedy-s1"],
+               "sources": [{"kind": "gnm", "label": "a", "n": 30, "m": 60},
+                           {"kind": "gnm", "label": "a", "n": 40, "m": 60}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "bench", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "x"))
+        assert code == 1 and len(err.splitlines()) == 1 and "'a-0'" in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
         cfg = {"alphas": ["1/2"], "algorithms": ["greedy-s1"],
@@ -387,10 +397,11 @@ class TestErrors:
 
     def test_bundle_weight_that_is_not_an_integer_exit_code(self, tmp_path, capsys):
         bundle = tmp_path / "g.json"
-        bundle.write_text(json.dumps({"n": 3, "edges": [[0, 1]], "weights": [2.9, 1, "3"]}))
-        code, _, err = run(capsys, "solve", "--bundle", str(bundle), "--alpha", "1/2",
-                           "--algo", "greedy-s1")
-        assert code == 2 and str(bundle) in err and "2.9" in err
+        for weights, bad in (([2.9, 1, "3"], "2.9"), ([True, 2, 1], "True")):
+            bundle.write_text(json.dumps({"n": 3, "edges": [[0, 1]], "weights": weights}))
+            code, _, err = run(capsys, "solve", "--bundle", str(bundle), "--alpha", "1/2",
+                               "--algo", "greedy-s1")
+            assert code == 2 and str(bundle) in err and f"weight {bad} of vertex 0" in err
 
     @pytest.mark.parametrize("algo, dump_lp", [("rr", False), ("rrwc", False),
                                                ("greedy-s1", True)])

@@ -116,34 +116,35 @@ def test_the_pool_is_kept_between_calls(monkeypatch):
     monkeypatch.setattr(community, "solve_lp", counted)
     g = assign_weights(SEEDED["planted"](), WeightSpec(1, 71), 24)
     lps = sum(len(c) > 1 for c in louvain(g).communities())
+    pool = community._lp_pool()
     before = set(threading.enumerate())
-    first = None
     for call in range(50):
         community_rounding(DominationInstance(g, ALPHAS[call % 3]), call)
         counts.append(threading.active_count())
-        now = set(threading.enumerate()) | solvers
-        assert all(t.name.startswith("alphadom-lp") for t in now - before)
-        if first is None:
-            first = now
-        assert now <= first  # calls after the first start no thread
+        assert all(t.name.startswith("alphadom-lp") for t in set(threading.enumerate()) - before)
+    assert community._lp_pool() is pool
     assert len(counts) == 50 * (lps + 1)
-    assert max(counts) <= len(before) + community._pool_size(lps)
+    # a pool built per call would solve on new threads in every call
+    assert all(t.name.startswith("alphadom-lp") for t in solvers)
+    assert len(solvers) <= community._cpus()
+    assert max(counts) <= len(before) + community._cpus()
 
 
 def test_more_threads_than_cpus(monkeypatch):
     # one thread per LP, switching often: concurrent HiGHS runs stay independent
-    monkeypatch.setattr(community, "_pool_size", lambda lps: max(1, lps))
-    monkeypatch.setattr(community, "_pool", None)  # a pool of this test's size
     g = assign_weights(SEEDED["er"](), WeightSpec(1, 71), 24)
     lps = sum(len(c) > 1 for c in louvain(g).communities())
+    monkeypatch.setattr(community, "_cpus", lambda: lps)
+    community._lp_pool.cache_clear()  # a pool of this test's size
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for alpha in ALPHAS:
             assert_matches_reference(DominationInstance(g, alpha), 5)
+        assert community._lp_pool()._max_workers == lps
     finally:
         sys.setswitchinterval(interval)
-    assert community._pool[0] == lps
+        community._lp_pool.cache_clear()  # the next call builds one of the real size
 
 
 # rrwc in this process, then in a forked child and in the forked workers of
@@ -206,6 +207,31 @@ def test_forked_children_solve_with_a_pool_of_their_own():
 @pytest.mark.parametrize("lps, cpus, threads", [(0, 2, 1), (1, 2, 1), (5, 2, 2),
                                                 (5, 1, 1), (3, 8, 3)])
 def test_pool_size(monkeypatch, lps, cpus, threads):
+    # lps tasks that all wait until the last is queued: each finds no idle
+    # thread, so the pool starts one per task up to one per CPU
     monkeypatch.setattr(community.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert community._pool_size(lps) == threads
+    assert community._cpus() == cpus
+    community._lp_pool.cache_clear()
+    try:
+        pool, queued, ran_on = community._lp_pool(), threading.Event(), set()
+
+        def task():
+            queued.wait(30)
+            ran_on.add(threading.current_thread())
+
+        tasks = [pool.submit(task) for _ in range(lps)]
+        queued.set()
+        for done in tasks:
+            done.result()
+        assert pool._max_workers == cpus
+        assert len(ran_on) == min(lps, threads)
+    finally:
+        community._lp_pool.cache_clear()
+
+
+def test_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(community.os, "sched_getaffinity", raising=False)
+    for counted, cpus in ((6, 6), (None, 1)):
+        monkeypatch.setattr(community.os, "cpu_count", lambda: counted)
+        assert community._cpus() == cpus

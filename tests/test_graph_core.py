@@ -32,6 +32,9 @@ class TestConstruction:
     def test_rejects_weights_that_are_not_integers(self):
         with pytest.raises(ValueError, match="weight 1.7 of vertex 0 is not an integer"):
             WeightedGraph.from_edges(2, [(0, 1)], [1.7, True])
+        # operator.index reads True as 1, so a boolean is refused before it
+        with pytest.raises(ValueError, match="^weight True of vertex 0 is not an integer$"):
+            WeightedGraph([[1], [0]], [True, 3])
         weights = WeightedGraph.from_edges(2, [(0, 1)], np.array([3, 4])).weights
         assert weights == (3, 4) and all(type(w) is int for w in weights)
 

@@ -386,6 +386,18 @@ class TestExperiment:
             ExperimentConfig.from_dict(tiny_config(repetitions=0))
         with pytest.raises(ValueError, match="nonempty"):
             ExperimentConfig.from_dict(tiny_config(sources=[]))
+        with pytest.raises(ValueError, match="^'alphas' must be list, got '1/2'$"):
+            ExperimentConfig.from_dict(tiny_config(alphas="1/2"))
+        with pytest.raises(ValueError, match="^'algorithms' must be list, got 'rr'$"):
+            ExperimentConfig.from_dict(tiny_config(algorithms="rr"))
+        for alpha in (True, None, "2"):
+            with pytest.raises(ValueError, match=f"^'alphas': {alpha!r} is not a coverage rate"):
+                ExperimentConfig.from_dict(tiny_config(alphas=[alpha]))
+        # two sources whose ids collide would share their rows' seeds and summary
+        gnm = {"kind": "gnm", "label": "a", "n": 30, "m": 60}
+        for second in ({**gnm, "n": 40}, {"kind": "file", "label": "a-1", "edges": "a.edges"}):
+            with pytest.raises(ValueError, match="graph id 'a-[01]' is given 2 times"):
+                ExperimentConfig.from_dict(tiny_config(sources=[{**gnm, "count": 2}, second]))
 
 
 def test_derive_seed_is_stable_and_spread():
