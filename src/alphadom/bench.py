@@ -128,6 +128,8 @@ class GraphSource:
             if key not in entry:
                 raise ValueError(f"sources[{position}] has no {key!r} key")
         label, kind = entry["label"], entry["kind"]
+        if not isinstance(label, str):  # it names the graphs, their seeds and their rows
+            raise ValueError(f"sources[{position}]: 'label' must be str, got {label!r}")
         if kind not in _SOURCE_KEYS:
             raise ValueError(f"unknown source kind {kind!r}; "
                              f"known: {', '.join(sorted(_SOURCE_KEYS))}")

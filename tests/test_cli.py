@@ -285,6 +285,7 @@ class TestBench:
     @pytest.mark.parametrize("source, missing", [
         ({"kind": "gnm", "n": 5, "m": 4}, "'label'"),
         ({"label": "er", "n": 5, "m": 4}, "'kind'"),
+        ({"kind": "gnm", "label": ["er"], "n": 5, "m": 4}, "'label'"),
     ])
     def test_source_without_label_or_kind_exit_code(self, tmp_path, capsys, source, missing):
         cfg = {"sources": [{"kind": "gnm", "label": "ok", "n": 5, "m": 4}, source]}

@@ -223,7 +223,7 @@ def test_pool_size(monkeypatch, lps, cpus, threads):
         tasks = [pool.submit(task) for _ in range(lps)]
         queued.set()
         for done in tasks:
-            done.result()
+            done.result(timeout=30)
         assert pool._max_workers == cpus
         assert len(ran_on) == min(lps, threads)
     finally:

@@ -380,8 +380,9 @@ class TestExperiment:
         assert rows[0].graph == "mine"
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            ExperimentConfig.from_dict(tiny_config(algorithms=["simulated-annealing"]))
+        for algorithms in (["simulated-annealing"], [["rr"]]):
+            with pytest.raises(ValueError, match="unknown algorithm"):
+                ExperimentConfig.from_dict(tiny_config(algorithms=algorithms))
         with pytest.raises(ValueError, match="repetitions"):
             ExperimentConfig.from_dict(tiny_config(repetitions=0))
         with pytest.raises(ValueError, match="nonempty"):
