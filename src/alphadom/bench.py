@@ -91,13 +91,11 @@ def _param(label: str | None, key: str, value, kind: type):
 
 
 def _rate(value) -> Fraction:
-    """An ``alphas`` entry: a number or fraction string in (0, 1], not a boolean."""
-    if not isinstance(value, bool):
-        try:
-            return as_alpha(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"'alphas': {value!r} is not a coverage rate in (0, 1]")
+    """An ``alphas`` entry: a number or fraction string in (0, 1]."""
+    try:
+        return as_alpha(value)
+    except ValueError:
+        raise ValueError(f"'alphas': {value!r} is not a coverage rate in (0, 1]") from None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,11 @@ function and one entry.
 
 Determinism contract: the same (family, parameters, seed) always yields the
 same graph in this implementation.  No attempt is made to match any external
-library's RNG stream; only self-consistency is promised.
+library's RNG stream; only self-consistency is promised.  G(n, m) and the
+planted partition work on whole arrays of draws but take the same draws, in
+the same order, as a loop over one pair or one skip at a time
+(``tests/generators_reference.py``), so they build that loop's graphs, edge
+for edge.
 """
 from __future__ import annotations
 
@@ -47,8 +51,9 @@ def assign_weights(g: WeightedGraph, spec: WeightSpec, seed: int) -> WeightedGra
 def gen_gnm(n: int, m: int, seed: int) -> WeightedGraph:
     """Uniform sample from all simple graphs with exactly n vertices and m edges.
 
-    Rejection-samples vertex pairs into a dedup set; efficient whenever m is
-    well below n^2/2 and still uniform for dense m.
+    Draws vertex pairs in batches and keeps each pair not seen before, in draw
+    order, until m are kept; efficient whenever m is well below n^2/2 and
+    still uniform for dense m.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -56,19 +61,22 @@ def gen_gnm(n: int, m: int, seed: int) -> WeightedGraph:
     if m > max_m:
         raise ValueError(f"m={m} exceeds the {max_m} possible edges on n={n} vertices")
     rng = np.random.default_rng(seed)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < m:
-        batch = max(256, 2 * (m - len(edges)))
+    kept = np.empty(0, dtype=np.int64)  # sorted keys min * n + max of the edges so far
+    while len(kept) < m:
+        batch = max(256, 2 * (m - len(kept)))
         us = rng.integers(0, n, size=batch)
         vs = rng.integers(0, n, size=batch)
-        for u, v in zip(us, vs):
-            if u == v:
-                continue
-            e = (int(u), int(v)) if u < v else (int(v), int(u))
-            edges.add(e)
-            if len(edges) == m:
-                break
-    return WeightedGraph.from_edges(n, edges)
+        keys = (np.minimum(us, vs) * n + np.maximum(us, vs))[us != vs]
+        # the first draw of each pair, in draw order: the least position of
+        # each run of equal keys in sort order (numpy 2's np.unique hashes
+        # int64, and a stable argsort is 5x slower than this one)
+        order = np.argsort(keys)
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        keys = keys[np.sort(np.minimum.reduceat(order, starts))]
+        # then the pairs that no earlier batch kept (-1 pads past the end)
+        known = np.append(kept, -1)[np.searchsorted(kept, keys)] == keys
+        kept = np.sort(np.concatenate((kept, keys[~known][:m - len(kept)])))
+    return WeightedGraph.from_edges(n, np.column_stack((kept // n, kept % n)))
 
 
 def gen_powerlaw_cluster(n: int, edges_per_new_vertex: int, triangle_prob: float,
@@ -142,39 +150,74 @@ def gen_powerlaw_cluster(n: int, edges_per_new_vertex: int, triangle_prob: float
     return WeightedGraph([sorted(s) for s in adj], [1] * n)
 
 
-def _sample_pair_indices(total: int, p: float, rng: np.random.Generator) -> list[int]:
-    """Indices of successes among ``total`` independent Bernoulli(p) slots.
+def _skip_runs(runs: int, total: int, p: float,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Successes of ``runs`` runs of ``total`` independent Bernoulli(p)
+    slots each: the run and the slot of every success, in run order.
 
-    Geometric skip sampling: expected work is O(p * total) instead of O(total).
+    Geometric skip sampling (Batagelj & Brandes, Phys. Rev. E 71, 2005):
+    draw u jumps 1 + floor(log(u) / log(1 - p)) slots, and the draw that
+    jumps past the last slot (or u = 0) ends the run, so a run of s successes
+    takes s + 1 draws and O(p * total) expected work.  The draws come from
+    ``rng`` in the order of a one-at-a-time loop, in chunks, and ``rng`` is
+    left just after the last draw used.
     """
-    if p <= 0.0 or total == 0:
-        return []
+    if p <= 0.0 or total == 0 or runs == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        return list(range(total))
-    out = []
+        return (np.repeat(np.arange(runs, dtype=np.int64), total),
+                np.tile(np.arange(total, dtype=np.int64), runs))
     log_q = math.log1p(-p)
-    idx = -1
-    while True:
-        u = rng.random()
-        if u <= 0.0:
-            break
-        idx += 1 + int(math.log(u) / log_q)
-        if idx >= total:
-            break
-        out.append(idx)
-    return out
+    end = total + 1  # a jump this long ends any run
+    state = rng.bit_generator.state
+    parts: list[np.ndarray] = []
+    jumps = np.empty(0, dtype=np.int64)  # of the draws that no finished run used
+    used = 0
+    while len(parts) < runs:
+        # the draws the remaining runs take, plus four deviations; no more
+        # than keep the cumulative steps below 2^63
+        expected = (runs - len(parts)) * (p * total + 1)
+        chunk = min(int(expected + 4 * math.sqrt(expected)) + 16, (1 << 62) // end)
+        u = rng.random(chunk)
+        # math.log per draw: numpy's SIMD log may differ from libm by an ulp
+        logs = np.fromiter(map(math.log, np.where(u > 0, u, 1.0).tolist()),
+                           dtype=np.float64, count=chunk)
+        with np.errstate(over="ignore"):  # p below about 1e-307 gives inf
+            skips = np.minimum(logs / log_q, 2.0 ** 62)
+        fresh = np.minimum(1 + skips.astype(np.int64), end)
+        fresh[u <= 0] = end
+        jumps = np.concatenate((jumps, fresh))
+        # the run that starts at draw s holds slot steps[i] - steps[s] - 1
+        # after draw i - 1, and ends at the first draw where that reaches total
+        steps = np.concatenate(([0], np.cumsum(jumps)))
+        start = 0
+        while len(parts) < runs:
+            stop = int(np.searchsorted(steps, steps[start] + end))
+            if stop == len(steps):
+                break
+            parts.append(steps[start + 1:stop] - steps[start] - 1)
+            start = stop
+        used += start
+        jumps = jumps[start:]
+    rng.bit_generator.state = state
+    rng.random(used)
+    slots = np.concatenate(parts)
+    return np.repeat(np.arange(runs, dtype=np.int64), [len(x) for x in parts]), slots
 
 
-def _pair_from_index(idx: int, size: int) -> tuple[int, int]:
-    """Decode a linear index over the pairs (i, j), i < j, listed row by row."""
-    # row i holds size-1-i pairs; offset(i) = i*size - i*(i+1)/2
-    i = int((2 * size - 1 - math.sqrt((2 * size - 1) ** 2 - 8 * idx)) / 2)
-    while i * size - i * (i + 1) // 2 > idx:
-        i -= 1
-    while (i + 1) * size - (i + 1) * (i + 2) // 2 <= idx:
-        i += 1
-    j = idx - (i * size - i * (i + 1) // 2) + i + 1
-    return i, j
+def _pairs_from_indices(idx: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode linear indices over the pairs (i, j), i < j, listed row by row."""
+    def offset(i):  # row i holds size-1-i pairs
+        return i * size - i * (i + 1) // 2
+
+    # a float estimate of the row, then exact integer corrections
+    i = ((2 * size - 1 - np.sqrt((2 * size - 1) ** 2 - 8 * idx)) / 2).astype(np.int64)
+    i = np.clip(i, 0, max(size - 2, 0))
+    while (high := offset(i) > idx).any():
+        i -= high
+    while (low := offset(i + 1) <= idx).any():
+        i += low
+    return i, idx - offset(i) + i + 1
 
 
 def gen_planted_partition(l: int, community_size: int, p_in: float, p_out: float,
@@ -192,25 +235,16 @@ def gen_planted_partition(l: int, community_size: int, p_in: float, p_out: float
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name}={p} outside [0, 1]")
     rng = np.random.default_rng(seed)
-    n = l * community_size
-    edges: list[tuple[int, int]] = []
+    size = community_size
 
-    intra_pairs = community_size * (community_size - 1) // 2
-    for b in range(l):
-        base = b * community_size
-        for idx in _sample_pair_indices(intra_pairs, p_in, rng):
-            i, j = _pair_from_index(idx, community_size)
-            edges.append((base + i, base + j))
-
-    inter_pairs = community_size * community_size
-    for a in range(l):
-        for b in range(a + 1, l):
-            base_a, base_b = a * community_size, b * community_size
-            for idx in _sample_pair_indices(inter_pairs, p_out, rng):
-                edges.append((base_a + idx // community_size,
-                              base_b + idx % community_size))
-
-    return WeightedGraph.from_edges(n, edges)
+    # every block's pairs, then every block pair's, each run in turn
+    block, idx = _skip_runs(l, size * (size - 1) // 2, p_in, rng)
+    i, j = _pairs_from_indices(idx, size)
+    first, second = np.triu_indices(l, 1)
+    pair, idx = _skip_runs(len(first), size * size, p_out, rng)
+    us = np.concatenate((block * size + i, first[pair] * size + idx // size))
+    vs = np.concatenate((block * size + j, second[pair] * size + idx % size))
+    return WeightedGraph.from_edges(l * size, np.column_stack((us, vs)))
 
 
 def planted_block_assignment(l: int, community_size: int) -> list[int]:

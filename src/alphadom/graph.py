@@ -32,14 +32,18 @@ def as_alpha(value: AlphaLike) -> Fraction:
     """Normalize a coverage rate to an exact Fraction in (0, 1].
 
     Floats are routed through their decimal string form, so ``as_alpha(0.1)``
-    is exactly 1/10 rather than the binary expansion of ``0.1``.
+    is exactly 1/10 rather than the binary expansion of ``0.1``.  A boolean,
+    or anything else that is not a number or a fraction string, raises
+    ValueError.
     """
-    if isinstance(value, Fraction):
-        alpha = value
-    elif isinstance(value, float):
-        alpha = Fraction(str(value))
-    else:
-        alpha = Fraction(value)
+    alpha = None
+    if not isinstance(value, bool):
+        try:
+            alpha = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+        except (TypeError, ValueError):
+            pass
+    if alpha is None:
+        raise ValueError(f"coverage rate must be a number or a fraction string, got {value!r}")
     if not 0 < alpha <= 1:
         raise ValueError(f"coverage rate must be in (0, 1], got {alpha}")
     return alpha

@@ -6,7 +6,7 @@ import pytest
 
 from alphadom import (WeightSpec, assign_weights, gen_gnm, gen_planted_partition,
                       gen_powerlaw_cluster, planted_block_assignment)
-from alphadom.generators import FAMILIES, _pair_from_index, family_params
+from alphadom.generators import FAMILIES, _pairs_from_indices, family_params
 from alphadom.graph import connected_components
 
 
@@ -77,8 +77,31 @@ class TestPowerlawCluster:
 class TestPlantedPartition:
     def test_pair_index_decoding_is_exhaustive(self):
         for size in (2, 3, 7, 12):
-            seen = [_pair_from_index(i, size) for i in range(size * (size - 1) // 2)]
-            assert seen == [(i, j) for i in range(size) for j in range(i + 1, size)]
+            i, j = _pairs_from_indices(np.arange(size * (size - 1) // 2), size)
+            assert list(zip(i.tolist(), j.tolist())) == [
+                (a, b) for a in range(size) for b in range(a + 1, size)]
+        i, j = _pairs_from_indices(np.empty(0, dtype=np.int64), 5)
+        assert i.size == j.size == 0
+
+    def test_pair_index_decoding_at_row_ends_past_float_precision(self):
+        # (2 * size - 1) ** 2 exceeds 2^53, so the sqrt estimate is off by a
+        # row near some row ends and the integer corrections must fix it
+        size = 10**8
+        rows = np.array([0, 1, 2, 12_345, size // 2, size - 3, size - 2], dtype=np.int64)
+        starts = rows * size - rows * (rows + 1) // 2
+        i, j = _pairs_from_indices(np.concatenate((starts, starts + size - 2 - rows)), size)
+        assert i.tolist() == rows.tolist() * 2
+        assert j.tolist() == (rows + 1).tolist() + [size - 1] * len(rows)
+
+    def test_subnormal_probability_draws_no_edge(self):
+        # log1p(-p) is about -p, so log(u) / log1p(-p) overflows to inf: the
+        # jump ends the run, as with any probability too small to hit a pair
+        assert gen_planted_partition(2, 10, 0.5, 5e-324, 1) == gen_planted_partition(2, 10, 0.5, 0.0, 1)
+        assert gen_planted_partition(2, 10, 5e-324, 0.0, 1) == gen_planted_partition(2, 10, 0.0, 0.0, 1)
+        # each intra-block run still takes its one draw, like any tiny p_in
+        g = gen_planted_partition(2, 10, 5e-324, 0.5, 1)
+        assert g == gen_planted_partition(2, 10, 1e-300, 0.5, 1)
+        assert g.edge_count > 0 and all((u < 10) != (v < 10) for u, v in g.edges())
 
     def test_zero_out_probability_gives_disconnected_blocks(self):
         g = gen_planted_partition(4, 10, 1.0, 0.0, 5)

@@ -1,5 +1,6 @@
 """Graph model, demand arithmetic, and the feasibility verifier."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,16 @@ class TestAlpha:
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
             as_alpha(bad)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, None, [1], "half", "", float("nan"),
+                                     float("inf"), object()])
+    def test_refuses_what_is_not_a_rate(self, bad):
+        # a boolean is not read as 1 or 0, and a non-number is a ValueError
+        message = re.escape(f"coverage rate must be a number or a fraction string, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            as_alpha(bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DominationInstance(WeightedGraph.from_edges(2, [(0, 1)]), bad)
 
 
 class TestClosedDegreeAndDemand:
