@@ -201,8 +201,8 @@ def _skip_runs(runs: int, total: int, p: float,
         jumps = jumps[start:]
     rng.bit_generator.state = state
     rng.random(used)
-    slots = np.concatenate(parts)
-    return np.repeat(np.arange(runs, dtype=np.int64), [len(x) for x in parts]), slots
+    return (np.repeat(np.arange(runs, dtype=np.int64), [len(x) for x in parts]),
+            np.concatenate(parts))
 
 
 def _pairs_from_indices(idx: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +212,6 @@ def _pairs_from_indices(idx: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
 
     # a float estimate of the row, then exact integer corrections
     i = ((2 * size - 1 - np.sqrt((2 * size - 1) ** 2 - 8 * idx)) / 2).astype(np.int64)
-    i = np.clip(i, 0, max(size - 2, 0))
     while (high := offset(i) > idx).any():
         i -= high
     while (low := offset(i + 1) <= idx).any():

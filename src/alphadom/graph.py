@@ -31,15 +31,16 @@ AlphaLike = Fraction | str | float | int
 def as_alpha(value: AlphaLike) -> Fraction:
     """Normalize a coverage rate to an exact Fraction in (0, 1].
 
-    Floats are routed through their decimal string form, so ``as_alpha(0.1)``
-    is exactly 1/10 rather than the binary expansion of ``0.1``.  A boolean,
-    or anything else that is not a number or a fraction string, raises
-    ValueError.
+    Floats, numpy's included, are routed through their decimal string form,
+    so ``as_alpha(0.1)`` is exactly 1/10 rather than the binary expansion of
+    ``0.1``.  A boolean, or anything else that is not a number or a fraction
+    string, raises ValueError.
     """
     alpha = None
     if not isinstance(value, bool):
         try:
-            alpha = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+            alpha = (Fraction(str(value)) if isinstance(value, (float, np.floating))
+                     else Fraction(value))
         except (TypeError, ValueError):
             pass
     if alpha is None:

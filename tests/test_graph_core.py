@@ -148,6 +148,11 @@ class TestAlpha:
     def test_float_goes_through_decimal_text(self):
         assert as_alpha(0.1) == Fraction(1, 10)
 
+    def test_numpy_numbers_are_rates(self):
+        assert as_alpha(np.float32(0.1)) == as_alpha(np.float16(0.1)) == Fraction(1, 10)
+        assert as_alpha(np.float64(0.25)) == Fraction(1, 4)
+        assert as_alpha(np.int64(1)) == 1
+
     @pytest.mark.parametrize("bad", [0, -1, "5/4", 1.5])
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
