@@ -64,14 +64,16 @@ _GENERATE_FLAGS = {
 _GENERATE_DEFAULTS = {"triangle_prob": 0.8}
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, not {text!r}")
+        return value
+    return parse
 
 
 def _load_graph(args):
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a random graph and write it to files")
     gen.add_argument("family", choices=list(FAMILIES))
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_at_least(0), default=0)
     params = {name: kind for family in FAMILIES for name, kind in family_params(family).items()}
     for name, kind in params.items():
         flag, text = _GENERATE_FLAGS[name]
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--alpha", required=True,
                        help="coverage rate in (0,1]; accepts 1/4 or 0.25")
     solve.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_at_least(0), default=0)
     solve.add_argument("--out", help="solution file (one vertex label per line)")
     solve.add_argument("--dump-lp", help="also write the relaxation in LP text format")
 
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output prefix; writes <out>.csv and <out>.json")
     bench.add_argument("--no-timing", action="store_true",
                        help="zero the timing column for byte-exact comparisons")
-    bench.add_argument("--jobs", type=_worker_count, default=1,
+    bench.add_argument("--jobs", type=_at_least(1), default=1,
                        help="worker processes, at most one per cell (default 1)")
 
     comm = sub.add_parser("communities", help="dump the detected partition as CSV")

@@ -9,16 +9,17 @@ function and one entry.
 
 Determinism contract: the same (family, parameters, seed) always yields the
 same graph in this implementation.  No attempt is made to match any external
-library's RNG stream; only self-consistency is promised.  G(n, m) and the
-planted partition work on whole arrays of draws but take the same draws, in
-the same order, as a loop over one pair or one skip at a time
-(``tests/generators_reference.py``), so they build that loop's graphs, edge
-for edge.
+library's RNG stream; only self-consistency is promised.  Every family takes
+the draws of its original sampler, kept in ``tests/generators_reference.py``,
+in their order, and so builds that sampler's graphs, edge for edge: G(n, m)
+and the planted partition on whole arrays of draws, and powerlaw-cluster on
+neighbour rows kept sorted as they grow.
 """
 from __future__ import annotations
 
 import math
 import typing
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,52 +103,35 @@ def gen_powerlaw_cluster(n: int, edges_per_new_vertex: int, triangle_prob: float
 
     rng = np.random.default_rng(seed)
     seed_size = m0 + 1
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u in range(seed_size):
-        for v in range(u + 1, seed_size):
-            adj[u].add(v)
-            adj[v].add(u)
+    # each row ascends as it grows, so triad closure reads its candidates in order
+    adj = [[v for v in range(seed_size) if v != u] for u in range(seed_size)]
+    adj += [[] for _ in range(seed_size, n)]
     # sampling pool: each vertex appears once per unit of degree
-    repeated: list[int] = []
-    for v in range(seed_size):
-        repeated.extend([v] * m0)
+    repeated = [v for v in range(seed_size) for _ in range(m0)]
 
     for source in range(seed_size, n):
-        # m0 distinct preferential targets, in draw order
-        targets: list[int] = []
-        chosen: set[int] = set()
+        targets: list[int] = []  # m0 distinct preferential targets, in draw order
         while len(targets) < m0:
             cand = repeated[rng.integers(0, len(repeated))]
-            if cand not in chosen:
-                chosen.add(cand)
+            if cand not in targets:
                 targets.append(cand)
-        pos = 0
-        target = targets[pos]
-        pos += 1
-        adj[source].add(target)
-        adj[target].add(source)
-        repeated.append(target)
-        count = 1
-        while count < m0:
-            if rng.random() < triangle_prob:
-                eligible = [u for u in sorted(adj[target])
-                            if u != source and u not in adj[source]]
+        row, preferential = adj[source], iter(targets)
+        for step in range(m0):
+            u = None
+            if step and rng.random() < triangle_prob:
+                eligible = [w for w in adj[target] if w != source and w not in row]
                 if eligible:
                     u = eligible[rng.integers(0, len(eligible))]
-                    adj[source].add(u)
-                    adj[u].add(source)
-                    repeated.append(u)
-                    count += 1
-                    continue
-            target = targets[pos]
-            pos += 1
-            adj[source].add(target)  # may already exist: no-op, still consumes the slot
-            adj[target].add(source)
-            repeated.append(target)
-            count += 1
+            if u is None:
+                u = target = next(preferential)
+            # an existing edge still uses up its step and its pool entry
+            if u not in row:
+                insort(row, u)
+                adj[u].append(source)  # above every vertex grown so far
+            repeated.append(u)
         repeated.extend([source] * m0)
 
-    return WeightedGraph([sorted(s) for s in adj], [1] * n)
+    return WeightedGraph(adj, [1] * n)
 
 
 def _skip_runs(runs: int, total: int, p: float,

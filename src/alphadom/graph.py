@@ -308,7 +308,7 @@ class WeightedGraph:
                 v = int(label)
             except ValueError:
                 raise KeyError(label) from None
-            if not 0 <= v < self.n:
+            if not 0 <= v < self.n or str(v) != label:  # only label_of's spelling
                 raise KeyError(label)
             return v
         if self._label_index is None:

@@ -177,6 +177,17 @@ def _bundle_int(value, what: str) -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
+def _bundle_labels(value) -> list[str] | None:
+    """A bundle's labels: null, or a JSON list of strings; ValueError names
+    the first entry that is not a string."""
+    if value is not None and not isinstance(value, list):
+        raise ValueError(f"labels {value!r} are not a list")
+    for v, label in enumerate(value or ()):
+        if not isinstance(label, str):
+            raise ValueError(f"label {label!r} of vertex {v} is not a string")
+    return value
+
+
 def read_graph_bundle(path) -> WeightedGraph:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -185,7 +196,7 @@ def read_graph_bundle(path) -> WeightedGraph:
             [(_bundle_int(u, "edge endpoint"), _bundle_int(v, "edge endpoint"))
              for u, v in payload["edges"]],
             payload["weights"],
-            payload.get("labels"),
+            _bundle_labels(payload.get("labels")),
         )
     except IngestError:
         raise

@@ -255,25 +255,24 @@ def _run_highs(lp: LinearProgram, n_named: int) -> tuple[np.ndarray, np.ndarray,
         solver.clearModel()
 
 
-_held = threading.local()  # per thread: (the factory that built it, its HiGHS object)
+_held = threading.local()  # per thread: its HiGHS object
 
 
 def _thread_highs(highs):
     """This thread's HiGHS object, with the options every run shares set.
 
-    It is built on the thread's first run, and again whenever
-    ``highs._Highs`` is no longer the factory that built it (a test may
-    swap the factory).  Building and freeing one took about 0.1 ms, which
-    a call per community LP paid before the object was kept.
+    It is built on the thread's first run and kept for the thread's later
+    runs.  Building and freeing one took about 0.1 ms, which a call per
+    community LP paid before the object was kept.
     """
-    held = getattr(_held, "highs", None)
-    if held is None or held[0] is not highs._Highs:
+    solver = getattr(_held, "highs", None)
+    if solver is None:
         solver = highs._Highs()
         solver.setOptionValue("output_flag", False)
         solver.setOptionValue("presolve", "off")
         solver.setOptionValue("run_crossover", "on")  # IPM must end at a vertex
-        held = _held.highs = (highs._Highs, solver)
-    return held[1]
+        _held.highs = solver
+    return solver
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""The one-draw-at-a-time G(n, m) and planted-partition samplers that
-``alphadom.generators`` replaced, kept only as a reference for tests: the
-array versions must build the same graph, edge for edge, for every
-(parameters, seed).
+"""The original samplers of the three families that ``alphadom.generators``
+replaced, kept only as a reference for tests: the replacements must build
+the same graph, edge for edge, for every (parameters, seed).
 
 ``reference_gnm`` rejection-samples vertex pairs into a dedup set;
-``reference_planted_partition`` takes one geometric skip per draw.
+``reference_planted_partition`` takes one geometric skip per draw;
+``reference_powerlaw_cluster`` grows the graph with neighbour sets and
+sorts the last preferential target's set on every triad-closure attempt.
 """
 from __future__ import annotations
 
@@ -99,3 +100,63 @@ def reference_planted_partition(l: int, community_size: int, p_in: float, p_out:
                               base_b + idx % community_size))
 
     return WeightedGraph.from_edges(n, edges)
+
+
+def reference_powerlaw_cluster(n: int, edges_per_new_vertex: int, triangle_prob: float,
+                               seed: int) -> WeightedGraph:
+    m0 = edges_per_new_vertex
+    if m0 < 1:
+        raise ValueError("edges_per_new_vertex must be >= 1")
+    if n <= m0:
+        raise ValueError(f"need n > edges_per_new_vertex, got n={n}, epnv={m0}")
+    if not 0.0 <= triangle_prob <= 1.0:
+        raise ValueError(f"triangle probability {triangle_prob} outside [0, 1]")
+
+    rng = np.random.default_rng(seed)
+    seed_size = m0 + 1
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u in range(seed_size):
+        for v in range(u + 1, seed_size):
+            adj[u].add(v)
+            adj[v].add(u)
+    # sampling pool: each vertex appears once per unit of degree
+    repeated: list[int] = []
+    for v in range(seed_size):
+        repeated.extend([v] * m0)
+
+    for source in range(seed_size, n):
+        # m0 distinct preferential targets, in draw order
+        targets: list[int] = []
+        chosen: set[int] = set()
+        while len(targets) < m0:
+            cand = repeated[rng.integers(0, len(repeated))]
+            if cand not in chosen:
+                chosen.add(cand)
+                targets.append(cand)
+        pos = 0
+        target = targets[pos]
+        pos += 1
+        adj[source].add(target)
+        adj[target].add(source)
+        repeated.append(target)
+        count = 1
+        while count < m0:
+            if rng.random() < triangle_prob:
+                eligible = [u for u in sorted(adj[target])
+                            if u != source and u not in adj[source]]
+                if eligible:
+                    u = eligible[rng.integers(0, len(eligible))]
+                    adj[source].add(u)
+                    adj[u].add(source)
+                    repeated.append(u)
+                    count += 1
+                    continue
+            target = targets[pos]
+            pos += 1
+            adj[source].add(target)  # may already exist: no-op, still consumes the slot
+            adj[target].add(source)
+            repeated.append(target)
+            count += 1
+        repeated.extend([source] * m0)
+
+    return WeightedGraph([sorted(s) for s in adj], [1] * n)

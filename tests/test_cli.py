@@ -396,6 +396,34 @@ class TestErrors:
         assert code == 2 and len(err.splitlines()) == 1
         assert str(bundle) in err and f"{bad} is not an integer" in err
 
+    @pytest.mark.parametrize("labels, message", [
+        ("abc", "labels 'abc' are not a list"),
+        ([1, None, True], "label 1 of vertex 0 is not a string"),
+        (["a", None, "c"], "label None of vertex 1 is not a string"),
+    ])
+    def test_bundle_labels_that_are_not_strings_exit_code(self, tmp_path, capsys, labels,
+                                                          message):
+        bundle = tmp_path / "g.json"
+        bundle.write_text(json.dumps({"n": 3, "edges": [[0, 1]], "weights": [1, 2, 3],
+                                      "labels": labels}))
+        code, out, err = run(capsys, "solve", "--bundle", str(bundle), "--alpha", "1/2",
+                             "--algo", "greedy-s1")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert str(bundle) in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "greedy-s1"], ["solve", "--algo", "rr"], ["solve", "--algo", "rrwc"],
+        ["generate", "gnm", "--n", "12", "--m", "30"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, small_graph_files, capsys, argv):
+        out = small_graph_files / "out"
+        if argv[0] == "solve":
+            argv = argv + ["--edges", str(small_graph_files / "g.edges"), "--alpha", "1/2"]
+        code, stdout, err = run(capsys, *argv, "--seed", "-1", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert "--seed" in err and "at least 0" in err and "'-1'" in err
+        assert list(small_graph_files.glob("out*")) == []
+
     def test_bundle_weight_that_is_not_an_integer_exit_code(self, tmp_path, capsys):
         bundle = tmp_path / "g.json"
         for weights, bad in (([2.9, 1, "3"], "2.9"), ([True, 2, 1], "True")):

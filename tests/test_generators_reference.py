@@ -1,14 +1,15 @@
-"""``gen_gnm`` and ``gen_planted_partition`` build the graph of the
-one-draw-at-a-time samplers they replaced, edge for edge, for every
-(parameters, seed)."""
+"""Every generator builds the graph of the original sampler it replaced,
+edge for edge, for every (parameters, seed)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphadom import gen_gnm, gen_planted_partition
+from alphadom import derive_seed, gen_gnm, gen_planted_partition, gen_powerlaw_cluster
 
-from .generators_reference import reference_gnm, reference_planted_partition
+from .generators_reference import (reference_gnm, reference_planted_partition,
+                                   reference_powerlaw_cluster)
+from .test_acceptance import BASE
 
 SEEDS = st.integers(0, 2**63 - 1)
 # below about 1e-307 a jump passes the largest float and the reference raises
@@ -65,3 +66,36 @@ def test_gnm_matches_reference_on_fixed_graphs(params):
 ])
 def test_planted_partition_matches_reference_on_fixed_graphs(params):
     assert_same_graph(gen_planted_partition(*params), reference_planted_partition(*params))
+
+
+@st.composite
+def powerlaw_cluster_params(draw):
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k + 1, 200))
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return n, k, p, draw(SEEDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(powerlaw_cluster_params())
+def test_powerlaw_cluster_matches_reference(params):
+    assert_same_graph(gen_powerlaw_cluster(*params), reference_powerlaw_cluster(*params))
+
+
+@pytest.mark.parametrize("params", [
+    (5000, 10, 0.1, 1),   # the paper's size
+    (2000, 3, 0.3, 3),    # the Louvain tests' graph
+    (300, 8, 1.0, 4),     # every later step tries triad closure
+    (9, 8, 0.5, 5),       # one vertex past the seed graph
+])
+def test_powerlaw_cluster_matches_reference_on_fixed_graphs(params):
+    assert_same_graph(gen_powerlaw_cluster(*params), reference_powerlaw_cluster(*params))
+
+
+@pytest.mark.parametrize("n, count", [(50, 14), (200, 6), (500, 3)])
+def test_powerlaw_cluster_matches_reference_on_criterion_1_graphs(n, count):
+    # the powerlaw-cluster graphs of test_acceptance.py's criterion 1
+    for i in range(count):
+        seed = derive_seed(BASE, "acc1-graph", "pn", n, i)
+        assert_same_graph(gen_powerlaw_cluster(n, 5, 0.8, seed),
+                          reference_powerlaw_cluster(n, 5, 0.8, seed))

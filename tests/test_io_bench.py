@@ -259,6 +259,19 @@ class TestRoundTrips:
                 write(tmp_path / name)
             assert not (tmp_path / name).exists()
 
+    @pytest.mark.parametrize("line", ["1_0", "+1", "\u0663", "01"])
+    def test_solution_label_on_an_unlabeled_graph_is_its_index_as_written(self, tmp_path,
+                                                                          line):
+        # int() reads each of these as a vertex, but label_of spells none of them
+        write_graph_bundle(gen_gnm(12, 20, 3), tmp_path / "g.json")
+        g = read_graph_bundle(tmp_path / "g.json")
+        assert g.labels is None
+        (tmp_path / "sol.txt").write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="unknown vertex label"):
+            read_solution(g, tmp_path / "sol.txt")
+        (tmp_path / "sol.txt").write_text("10\n1\n3\n")
+        assert read_solution(g, tmp_path / "sol.txt").members == {1, 3, 10}
+
     def test_solution_unknown_label(self, tmp_path):
         g = WeightedGraph.from_edges(2, [(0, 1)], [1, 1], labels=["a", "b"])
         (tmp_path / "sol.txt").write_text("q\n")

@@ -1,5 +1,6 @@
 """Relaxation construction, the HiGHS solve and its exact certificate."""
 import dataclasses
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -279,8 +280,9 @@ def highs_core():
 
 def patch_highs(monkeypatch, **options):
     """Swap the HiGHS object for the real one with ``options`` pinned (a
-    later ``setOptionValue`` of the same name is ignored); returns the list
-    that gets one entry per run."""
+    later ``setOptionValue`` of the same name is ignored), and every
+    thread's held object for none, so the next run builds a patched one;
+    returns the list that gets one entry per run."""
     core = highs_core()
     real_highs, runs = core._Highs, []
 
@@ -302,6 +304,7 @@ def patch_highs(monkeypatch, **options):
             return self._highs.run()
 
     monkeypatch.setattr(core, "_Highs", Patched)
+    monkeypatch.setattr(lp_module, "_held", threading.local())
     return runs
 
 
@@ -318,7 +321,7 @@ class TestHeldHighs:
 
     @staticmethod
     def held():
-        return lp_module._held.highs[1]
+        return lp_module._held.highs
 
     def test_one_object_per_thread_gives_fresh_results(self):
         def program(g, alpha):
@@ -354,19 +357,16 @@ class TestHeldHighs:
             assert sol.values.tobytes() == values.tobytes()
             assert sol.duals.tobytes() == duals.tobytes()
 
-    def test_the_object_is_kept_until_the_factory_changes(self):
+    def test_the_object_is_kept_between_runs_on_one_thread(self):
         lp = build_lp(DominationInstance(assign_weights(gen_gnm(60, 300, 5), WeightSpec(1, 71), 4),
                                          Fraction(1, 4)))
         solve_lp(lp)
         first = self.held()
         solve_lp(lp)
         assert self.held() is first
-        with pytest.MonkeyPatch.context() as patch:
-            runs = patch_highs(patch)
-            solve_lp(lp)
-            assert runs == [1] and self.held() is not first
-        solve_lp(lp)
-        assert type(self.held()) is type(first) and self.held() is not first
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(lambda: (solve_lp(lp), self.held())[1]).result()
+        assert other is not first and self.held() is first
 
 
 @pytest.mark.parametrize("path", ["_Highs", "ObjSense.kMinimize", "MatrixFormat.kRowwise",
@@ -424,6 +424,7 @@ class TestExactVerification:
         lp, sol = solve_instance(g, Fraction(1, 2))
         assert len(runs) == 1
         monkeypatch.setattr(highs_core(), "_Highs", no_solver)
+        monkeypatch.setattr(lp_module, "_held", threading.local())
         assert certify(lp, sol).certified
 
     def test_failed_solve_names_n_and_status(self, monkeypatch):
