@@ -11,7 +11,9 @@
    results, so a caller makes one call to either; the parser's twins are
    line scanners that also take the file paths, which their errors name.
    Graphs are CSR (indptr, indices) with int64 entries; a row lists the
-   neighbours of a vertex other than itself. */
+   neighbours of a vertex other than itself.  The fill scan compares
+   ratios exactly in __int128, and is left out where the compiler has no
+   such type. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -81,74 +83,101 @@ int64_t alphadom_local_moves(int64_t n, const int64_t *indptr, const int64_t *in
     return moved_any;
 }
 
-static void swap(int64_t *a, int64_t i, int64_t j)
+#ifdef __SIZEOF_INT128__  /* without 128-bit integers the fill scan runs in Python */
+
+/* The ranking value of every vertex v, nums[v] / dens[v]. */
+typedef struct {
+    const int64_t *nums, *dens;
+} ratios_t;
+
+/* A candidate of the fill scan: vertex v and q, a float that never
+   reverses the order of the ranking values. */
+typedef struct {
+    double q;
+    int64_t v;
+} candidate_t;
+
+/* Whether a comes before b: the lower value, then the lower index.  Equal
+   floats are settled by cross-multiplying, exactly, since every num and den
+   is below 2^63. */
+static int before(const ratios_t *r, const candidate_t *a, const candidate_t *b)
 {
-    int64_t x = a[i];
+    if (a->q != b->q)
+        return a->q < b->q;
+    __int128 x = (__int128)r->nums[a->v] * r->dens[b->v];
+    __int128 y = (__int128)r->nums[b->v] * r->dens[a->v];
+    return x != y ? x < y : a->v < b->v;
+}
+
+static void swap(candidate_t *a, int64_t i, int64_t j)
+{
+    candidate_t x = a[i];
     a[i] = a[j];
     a[j] = x;
 }
 
 /* Restores the max-heap order of heap[0..size) below position i. */
-static void sift_down(int64_t *heap, int64_t size, int64_t i)
+static void sift_down(const ratios_t *r, candidate_t *heap, int64_t size, int64_t i)
 {
-    int64_t x = heap[i];
+    candidate_t x = heap[i];
     for (int64_t c; (c = 2 * i + 1) < size; i = c) {
-        if (c + 1 < size && heap[c + 1] > heap[c])
+        if (c + 1 < size && before(r, &heap[c], &heap[c + 1]))
             c++;
-        if (heap[c] <= x)
+        if (!before(r, &x, &heap[c]))
             break;
         heap[i] = heap[c];
     }
     heap[i] = x;
 }
 
-/* Moves the k smallest of the values a[0..len), 0 < k < len, to a[0..k),
-   in O(len log k): a max-heap of the first k takes every smaller value. */
-static void heap_select(int64_t *a, int64_t len, int64_t k)
+/* Moves the k first of a[0..len), 0 < k < len, to a[0..k), in O(len log
+   k): a max-heap of the first k takes every candidate before its top. */
+static void heap_select(const ratios_t *r, candidate_t *a, int64_t len, int64_t k)
 {
     for (int64_t i = k / 2; i-- > 0;)
-        sift_down(a, k, i);
+        sift_down(r, a, k, i);
     for (int64_t i = k; i < len; i++) {
-        if (a[i] < a[0]) {
+        if (before(r, &a[i], &a[0])) {
             swap(a, 0, i);
-            sift_down(a, k, 0);
+            sift_down(r, a, k, 0);
         }
     }
 }
 
 #define SMALL 16  /* ranges this short go to heap_select at once */
 
-/* Moves the k smallest of the distinct values a[0..len), 0 < k < len, to
-   a[0..k), in no particular order: introselect (Musser 1997).  Each round
-   partitions the range that holds the k-th smallest around the median of
-   its first, middle and last values and keeps the side that holds it, so
-   a[0..lo) stays below and a[hi..len) above every value of a[lo..hi), and
-   lo < k < hi.  That takes linear time on average.  heap_select finishes
-   the range once it is short, or after 2 ceil(log2 len) rounds, so no
-   input takes more than O(len log len). */
-static void select_smallest(int64_t *a, int64_t len, int64_t k)
+/* Moves the k first of the candidates a[0..len), 0 < k < len, in the order
+   of before(), to a[0..k), in no particular order: introselect (Musser
+   1997).  Each round partitions the range that holds the k-th around the
+   median of its first, middle and last candidates and keeps the side that
+   holds it, so a[0..lo) stays before and a[hi..len) after every candidate
+   of a[lo..hi), and lo < k < hi.  That takes linear time on average.
+   heap_select finishes the range once it is short, or after
+   2 ceil(log2 len) rounds, so no input takes more than O(len log len). */
+static void select_smallest(const ratios_t *r, candidate_t *a, int64_t len, int64_t k)
 {
     int64_t lo = 0, hi = len, rounds = 0;
 
     for (int64_t span = 1; span < len; span *= 2)
         rounds += 2;
     for (; hi - lo > SMALL && rounds > 0; rounds--) {
-        /* sort the first, middle and last values: the middle one is the
+        /* sort the first, middle and last candidates: the middle one is the
            pivot, and the other two stop the scans below */
         int64_t mid = lo + (hi - lo) / 2, last = hi - 1;
-        if (a[mid] < a[lo])
+        if (before(r, &a[mid], &a[lo]))
             swap(a, lo, mid);
-        if (a[last] < a[mid]) {
+        if (before(r, &a[last], &a[mid])) {
             swap(a, mid, last);
-            if (a[mid] < a[lo])
+            if (before(r, &a[mid], &a[lo]))
                 swap(a, lo, mid);
         }
-        int64_t pivot = a[mid], i = lo, j = last - 1;
+        int64_t i = lo, j = last - 1;
+        candidate_t pivot = a[mid];
         swap(a, mid, j);
         for (;;) {
-            while (a[++i] < pivot)
+            while (before(r, &a[++i], &pivot))
                 ;
-            while (a[--j] > pivot)
+            while (before(r, &pivot, &a[--j]))
                 ;
             if (i > j)
                 break;
@@ -162,59 +191,58 @@ static void select_smallest(int64_t *a, int64_t len, int64_t k)
         else
             lo = i + 1;
     }
-    heap_select(a + lo, hi - lo, k - lo);
+    heap_select(r, a + lo, hi - lo, k - lo);
 }
 
 /* The greedy fill scan; the Python twin is alphadom.greedy._fill_py.  Each
    vertex v, in ascending index order, that is covered fewer times than its
    demand takes the missing count from the non-members of N[v] that come
-   first in rank, a permutation of 0..n-1.  The candidates' ranks are then
-   distinct, so the lowest ones form one set, whatever order they are found
-   in; select_smallest moves them to the front of the candidates in O(d)
-   time on average and O(d log d) at worst for a row of d.  cover holds the
-   closed-neighbourhood coverage of the members marked in in_set; both are
-   updated as vertices are added, and are the scan's only output.  Returns
-   0, or -1 if memory ran out. */
+   first in the order of before(), on the keys nums[u] / dens[u] and q[u] of
+   alphadom.greedy._keys; a candidate carries its float, and the exact
+   ratios are read only where floats are equal.  That order is total, so the
+   first ones form one set, whatever order they are found in;
+   select_smallest moves them to the front of the candidates in O(d) time on
+   average and O(d log d) at worst for a row of d.  cover holds the closed-neighbourhood coverage of the
+   members marked in in_set; both are updated as vertices are added, and
+   are the scan's only output.  Returns 0, or -1 if memory ran out. */
 int64_t alphadom_fill(int64_t n, const int64_t *indptr, const int64_t *indices,
-                      const int64_t *rank, const int64_t *demands, int64_t *cover,
-                      uint8_t *in_set)
+                      const int64_t *nums, const int64_t *dens, const double *q,
+                      const int64_t *demands, int64_t *cover, uint8_t *in_set)
 {
-    if (n == 0)
-        return 0;
-    int64_t *vertex = malloc((size_t)n * sizeof *vertex);          /* the inverse of rank */
-    int64_t *candidates = malloc((size_t)n * sizeof *candidates);  /* ranks in N[v] */
-    if (vertex == NULL || candidates == NULL) {
-        free(vertex);
-        free(candidates);
-        return -1;
-    }
+    const ratios_t ratios = {nums, dens};
+    int64_t size = 1;  /* the largest closed neighbourhood */
     for (int64_t v = 0; v < n; v++)
-        vertex[rank[v]] = v;
+        if (indptr[v + 1] - indptr[v] >= size)
+            size = indptr[v + 1] - indptr[v] + 1;
+    candidate_t *candidates = malloc((size_t)size * sizeof *candidates);
+    if (candidates == NULL)
+        return -1;
     for (int64_t v = 0; v < n; v++) {
         int64_t need = demands[v] - cover[v], found = 0;
         if (need <= 0)
             continue;
-        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++)
-            if (!in_set[indices[e]])
-                candidates[found++] = rank[indices[e]];
-        if (!in_set[v])
-            candidates[found++] = rank[v];
+        for (int64_t e = indptr[v]; e <= indptr[v + 1]; e++) {
+            int64_t u = e < indptr[v + 1] ? indices[e] : v;  /* the row, then v */
+            if (!in_set[u])
+                candidates[found++] = (candidate_t){q[u], u};
+        }
         if (need < found)  /* otherwise every candidate is taken */
-            select_smallest(candidates, found, need);
+            select_smallest(&ratios, candidates, found, need);
         else
             need = found;
         for (int64_t i = 0; i < need; i++) {
-            int64_t u = vertex[candidates[i]];
+            int64_t u = candidates[i].v;
             in_set[u] = 1;
             cover[u]++;
             for (int64_t e = indptr[u]; e < indptr[u + 1]; e++)
                 cover[indices[e]]++;
         }
     }
-    free(vertex);
     free(candidates);
     return 0;
 }
+
+#endif
 
 /* What alphadom_ingest returns: 0 when it parsed both files; a decline code
    when a file holds something it leaves to the Python line scanners, which

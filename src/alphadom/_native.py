@@ -12,8 +12,9 @@ writes to a temporary name that is then renamed into place, so processes
 building at once do not read half a file.  Without a compiler, or when the
 build or the load fails, each of :func:`local_moves`, :func:`fill` and
 :func:`ingest` warns once (``RuntimeWarning``, with the reason) and returns
-None, and :mod:`alphadom.community`, :mod:`alphadom.greedy` and
-:mod:`alphadom.io` run the same work in Python, several times slower.
+None, as :func:`fill` also does where the compiler has no 128-bit integers,
+and :mod:`alphadom.community`, :mod:`alphadom.greedy` and :mod:`alphadom.io`
+run the same work in Python, several times slower.
 """
 from __future__ import annotations
 
@@ -63,11 +64,11 @@ def _load(path: Path) -> ctypes.CDLL:
 
 def _kernel(name: str, fallback: str):
     """The library's function ``name``, or None when the library cannot be
-    built or loaded, with the warning "<fallback> could not be built or
-    loaded: <reason>"."""
+    built or loaded or lacks it, with the warning "<fallback> could not be
+    built or loaded: <reason>"."""
     try:
         return getattr(_load(_library()), name)
-    except (OSError, subprocess.SubprocessError) as exc:
+    except (OSError, subprocess.SubprocessError, AttributeError) as exc:
         detail = getattr(exc, "stderr", None) or b""
         reason = (detail.decode(errors="replace").strip() or str(exc)).splitlines()[0]
         warnings.warn(f"{fallback} could not be built or loaded: {reason}",
@@ -109,27 +110,29 @@ def local_moves():
 
 @functools.cache
 def fill():
-    """The C fill scan as ``run(indptr, indices, rank, demands, cover,
-    in_set)``, which updates ``cover`` (int64) and ``in_set`` (uint8) in
-    place and returns None, or None when it cannot be built or loaded (with
-    a warning that says why)."""
+    """The C fill scan as ``run(indptr, indices, nums, dens, q, demands,
+    cover, in_set)``, which updates ``cover`` (int64) and ``in_set`` (uint8)
+    in place and returns None, or None when it cannot be built or loaded, or
+    the compiler has no 128-bit integers (with a warning that says why)."""
     fn = _kernel("alphadom_fill", "The greedy fill scan runs in Python, since the C scan")
     if fn is None:
         return None
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 6]
+    fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p] * 8]
 
-    def run(indptr, indices, rank, demands, cover: np.ndarray, in_set: np.ndarray) -> None:
-        indptr, indices, rank, demands = (np.ascontiguousarray(a, dtype=np.int64)
-                                          for a in (indptr, indices, rank, demands))
-        n = len(rank)
-        if len(indptr) != n + 1 or len(demands) != n or not all(
+    def run(indptr, indices, nums, dens, q, demands, cover: np.ndarray,
+            in_set: np.ndarray) -> None:
+        indptr, indices, nums, dens, demands = (np.ascontiguousarray(a, dtype=np.int64)
+                                                for a in (indptr, indices, nums, dens, demands))
+        q = np.ascontiguousarray(q, dtype=np.float64)
+        n = len(demands)
+        if len(indptr) != n + 1 or not len(nums) == len(dens) == len(q) == n or not all(
                 a.dtype == dtype and len(a) == n and a.flags.c_contiguous and a.flags.writeable
                 for a, dtype in ((cover, np.int64), (in_set, np.uint8))):
-            raise ValueError("the fill scan takes n + 1 row offsets, n ranks and demands, and "
+            raise ValueError("the fill scan takes n + 1 row offsets, n keys and demands, and "
                              "updates n int64 counts and n uint8 flags in place")
-        if fn(n, indptr.ctypes.data, indices.ctypes.data, rank.ctypes.data,
-              demands.ctypes.data, cover.ctypes.data, in_set.ctypes.data) < 0:
+        if fn(n, indptr.ctypes.data, indices.ctypes.data, nums.ctypes.data, dens.ctypes.data,
+              q.ctypes.data, demands.ctypes.data, cover.ctypes.data, in_set.ctypes.data) < 0:
             raise MemoryError("greedy fill scan: out of memory")
 
     return run

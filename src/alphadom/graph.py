@@ -41,7 +41,7 @@ def as_alpha(value: AlphaLike) -> Fraction:
         try:
             alpha = (Fraction(str(value)) if isinstance(value, (float, np.floating))
                      else Fraction(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, ZeroDivisionError):
             pass
     if alpha is None:
         raise ValueError(f"coverage rate must be a number or a fraction string, got {value!r}")
@@ -121,7 +121,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("n", "indptr", "indices", "weights", "labels", "_adjacency",
-                 "_label_index", "_weight_array", "_closed", "_partition", "_ranks")
+                 "_label_index", "_weight_array", "_closed", "_partition", "_keys")
 
     def __init__(self, adjacency: Sequence[Sequence[int]],
                  weights: Sequence[int],
@@ -199,7 +199,7 @@ class WeightedGraph:
         self._weight_array: np.ndarray | None = array
         self._closed: tuple[np.ndarray, np.ndarray] | None = None
         self._partition = None  # set by community.louvain on its first call
-        self._ranks: dict = {}  # strategy -> greedy.rank_order, filled on first use
+        self._keys: dict = {}  # strategy -> greedy._keys, filled on first use
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file outputs, exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from alphadom import (ALGORITHMS, DominationInstance, WeightSpec, assign_weights, build_lp,
-                      gen_gnm, gen_powerlaw_cluster, ingest_graph, solve_lp)
+from alphadom import (ALGORITHMS, DominationInstance, WeightedGraph, WeightSpec, assign_weights,
+                      build_lp, gen_gnm, gen_powerlaw_cluster, ingest_graph, solve_lp)
 from alphadom.cli import main
 from alphadom.io import read_solution, write_edge_list, write_weight_table
 
@@ -372,6 +373,31 @@ class TestCommunitiesAndOracle:
 class TestErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    @pytest.mark.parametrize("alpha", ["1/0", "0/0"])
+    @pytest.mark.parametrize("entry", ["instance", "solve", "verify", "bench"])
+    def test_zero_denominator_alpha_is_refused_with_a_message(self, small_graph_files, capsys,
+                                                               entry, alpha):
+        message = f"coverage rate must be a number or a fraction string, got {alpha!r}"
+        if entry == "instance":
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DominationInstance(WeightedGraph.from_edges(2, [(0, 1)]), alpha)
+            return
+        d = small_graph_files
+        files = ["--edges", str(d / "g.edges"), "--weights", str(d / "g.weights")]
+        if entry == "bench":
+            message = f"'alphas': {alpha!r} is not a coverage rate in (0, 1]"
+            (d / "cfg.json").write_text(json.dumps({
+                "alphas": [alpha], "algorithms": ["greedy-s1"],
+                "sources": [{"kind": "gnm", "label": "a", "n": 30, "m": 60}]}))
+            argv = ["bench", "--config", str(d / "cfg.json"), "--out", str(d / "x")]
+        elif entry == "solve":
+            argv = ["solve", *files, "--alpha", alpha, "--algo", "greedy-s1"]
+        else:
+            (d / "none.txt").write_text("")
+            argv = ["verify", *files, "--alpha", alpha, "--solution", str(d / "none.txt")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.strip() == message and "Traceback" not in err
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "generate", "gnm", "--frob", "1")[0] == 1

@@ -1,6 +1,7 @@
 """Greedy solver: ranking keys, feasibility, determinism, oracle comparisons."""
 import time
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from alphadom import (DominatingSet, DominationInstance, Strategy, WeightedGraph
                       write_edge_list, write_weight_table)
 from alphadom import _native, greedy
 from alphadom.graph import _exact_weights
-from alphadom.greedy import _ratios, _weight_keys, rank_order
+from alphadom.greedy import _keys
 
-from .strategies import instances, weighted_graphs
+from .strategies import hard_weighted_graphs, instances, near_float_bound
 
 
 def path3():
@@ -53,36 +54,32 @@ class TestSortKey:
         assert k0 < k1
 
 
-# Weights whose ratios defeat a float or int64 key: 2**53 and 2**53 + 1 share
-# one float, 2**64 + 1 overflows int64, 2**1100 overflows float itself.
-HARD_WEIGHTS = [2**53, 2**53 + 1, 2**64 + 1, 2**64 + 2, 2**1100, 2**1100 + 1]
-
-
-@st.composite
-def hard_weighted_graphs(draw):
-    g = draw(weighted_graphs(max_n=12))
-    weight = st.one_of(st.integers(1, 3), st.sampled_from(HARD_WEIGHTS))
-    return g.with_weights(draw(st.lists(weight, min_size=g.n, max_size=g.n)))
-
-
 W = 2**31 - 1
 
 
-def near_float_bound(n):
-    """A sparse graph on n vertices with weights just below 2**53, five of
-    them apart: S1's integer keys w * n + v fit int64 at n = 1000 and not at
-    n = 1100, and S3's sums pass 2**53, where equal floats hold distinct
-    ratios."""
-    return WeightedGraph.from_edges(n, [(v, v + 1) for v in range(0, n - 1, 3)],
-                                    [2**53 - 1 - v % 5 for v in range(n)])
+def sort_key_order(strategy, g):
+    return sorted(range(g.n), key=lambda v: sort_key(strategy, g, v))
 
 
-def sort_key_ranks(strategy, g):
-    order = sorted(range(g.n), key=lambda v: sort_key(strategy, g, v))
-    rank = [0] * g.n
+def positions(order):
+    rank = [0] * len(order)
     for pos, v in enumerate(order):
         rank[v] = pos
     return rank
+
+
+def keys_order(strategy, g):
+    """The vertices in the order the fill scan compares them: by ``q``, then
+    by cross-multiplying the numerators and denominators, then by index."""
+    nums, dens, q = (a.tolist() for a in _keys(strategy, g))
+
+    def compare(a, b):
+        if q[a] != q[b]:
+            return -1 if q[a] < q[b] else 1
+        x, y = nums[a] * dens[b], nums[b] * dens[a]
+        return (x > y) - (x < y) or a - b
+
+    return sorted(range(g.n), key=cmp_to_key(compare))
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,37 +93,53 @@ def sort_key_ranks(strategy, g):
                                   [2**53 - 1, 2**53 - 2, 2**53 - 1, 1]))
 @example(WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                                   [2**53, 2**53 - 1, 2**53 + 1, 2**53]))
-# S3 ratios W/(2W+1) and (W-1)/(2W-1) share a float; the largest weight times
-# the largest denominator sits just below 2**63 at W = 2**31 - 1, above at 2**31
-# (for S3 this product bound binds long before the 2**53 denominator bound)
+# S3 ratios W/(2W+1) and (W-1)/(2W-1) share a float, at W = 2**31 - 1 and at
+# 2**31, where the largest weight times the largest denominator passes 2**63
 @example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W, W + 1, W - 1, W]))
 @example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W + 1, W + 2, W, W + 1]))
-# S1 by its integer keys, and past their bound by floats
+# S3's quotients all zero at n = 1000; positions at n = 1100
 @example(near_float_bound(1000))
 @example(near_float_bound(1100))
-def test_rank_order_matches_sort_key(g):
+# int64 weights from 2**53 on, whose quotients read zero, and a weight past int64
+@example(WeightedGraph.from_edges(2, [], [2**62 - 1, 1]))
+@example(WeightedGraph.from_edges(2, [(0, 1)], [2**62 - 2, 2**62 - 1]))
+@example(WeightedGraph.from_edges(1, [], [2**64]))
+def test_keys_order_vertices_as_sort_key(g):
     for s in Strategy:
-        assert rank_order(s, g).tolist() == sort_key_ranks(s, g)
+        nums, dens, q = _keys(s, g)
+        assert (nums.dtype, dens.dtype, q.dtype) == (np.int64, np.int64, np.float64)
+        order = sort_key_order(s, g)
+        assert keys_order(s, g) == order
+        assert np.all(np.diff(q[order]) >= 0)  # q never reverses the exact order
 
 
-def test_numpy_ranks_only_inside_the_bounds():
-    def fits(weights, edges=((0, 1), (2, 3))):
+def test_float_keys_only_inside_the_bounds():
+    def exact_floats(weights, edges=((0, 1), (2, 3))):
         g = WeightedGraph.from_edges(4, list(edges), weights)
-        dtypes = [{a.dtype for a in _ratios(s, g)} for s in Strategy]
-        assert all(len(d) == 1 for d in dtypes)  # numerators and denominators alike
-        return [d == {np.dtype(np.int64)} for d in dtypes]
+        exact = []
+        for nums, dens, q in (_keys(s, g) for s in Strategy):
+            assert np.array_equal(nums, g.weight_array())
+            exact.append(bool(q.any()))
+            assert np.array_equal(q, nums / dens if exact[-1] else np.zeros(4))
+        return exact
 
-    assert fits([W, W + 1, W - 1, W]) == [True, True, True]
-    assert fits([W + 1, W + 2, W, W + 1]) == [True, True, False]
-    assert fits([2**53 - 1, 1, 1, 1]) == [True, True, False]
-    assert fits([2**53, 1, 1, 1]) == [False, False, False]
-    assert fits([2**64, 1, 1, 1]) == [False, False, False]
-    # S1's integer keys: (largest weight + 1) * n below 2**63
-    assert _weight_keys(near_float_bound(1000)) is not None
-    assert _weight_keys(near_float_bound(1100)) is None
-    assert _weight_keys(WeightedGraph.from_edges(2, [], [2**62 - 2, 1])) is not None
-    assert _weight_keys(WeightedGraph.from_edges(2, [], [2**62 - 1, 1])) is None
-    assert _weight_keys(WeightedGraph.from_edges(1, [], [2**64])) is None
+    # q = nums / dens while every weight and denominator is below 2**53, and
+    # all zeros otherwise
+    assert exact_floats([W, W + 1, W - 1, W]) == [True, True, True]
+    assert exact_floats([W + 1, W + 2, W, W + 1]) == [True, True, True]
+    assert exact_floats([2**53 - 1, 1, 1, 1]) == [True, True, False]  # S3's 2**53
+    assert exact_floats([2**53, 1, 1, 1]) == [False, False, False]
+    assert exact_floats([2**60, 1, 1, 1]) == [False, False, False]  # 4 * 2**60 < 2**63
+    g = near_float_bound(1000)
+    assert [bool(_keys(s, g)[2].any()) for s in Strategy] == [True, True, False]
+    g = near_float_bound(1100)
+    assert all(_keys(s, g)[2].tolist() == positions(sort_key_order(s, g)) for s in Strategy)
+    # past int64, positions in sort_key order over one
+    g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [2**64, 1, 3, 2])
+    for s in Strategy:
+        nums, dens, q = _keys(s, g)
+        assert nums.tolist() == q.tolist() == positions(sort_key_order(s, g))
+        assert dens.tolist() == [1] * 4
 
     # the weights: int64 while the largest weight times n is below 2**63, so
     # that no sum of distinct weights can wrap
@@ -138,11 +151,13 @@ def test_numpy_ranks_only_inside_the_bounds():
     assert weights_dtype(2, 2**62) == object  # 2 * weight = 2**63
     assert weights_dtype(1, 2**63) == object  # past int64
     assert weights_dtype(0, 1) == np.int64
-    # past that bound the ratios still read int64 where their own bounds hold
+    # past that bound the keys are positions, though each weight is below 2**53
     wide = WeightedGraph.from_edges(2048, [], [2**52] * 2048)  # 2048 * 2**52 = 2**63
     assert _exact_weights(wide).dtype == object
-    assert [_ratios(s, wide)[0].dtype == np.int64 for s in Strategy] == [True, True, False]
-    assert _weight_keys(wide) is None
+    for s in Strategy:
+        nums, dens, q = _keys(s, wide)
+        assert nums.tolist() == q.tolist() == list(range(2048))
+        assert dens.tolist() == [1] * 2048
 
 
 # the largest weight times n at 2**63 - 1, where every set sums in int64, and
@@ -291,21 +306,22 @@ def test_load_and_greedy_leave_the_rows_unbuilt(tmp_path):
     assert loaded._adjacency is None
 
 
-def test_ranks_kept_per_graph_and_strategy(monkeypatch):
+def test_keys_kept_per_graph_and_strategy(monkeypatch):
     g = assign_weights(gen_gnm(60, 200, 7), WeightSpec(1, 9), 8)
     inst = DominationInstance(g, Fraction(1, 2))
-    first = {s: rank_order(s, g) for s in Strategy}
+    first = {s: _keys(s, g) for s in Strategy}
     with monkeypatch.context() as m:
-        m.setattr(greedy, "_rank_order", None)  # ranking anew would fail
+        m.setattr(greedy, "_exact_weights", None)  # computing keys anew would fail
         for s in Strategy:
-            assert rank_order(s, g) is first[s] and not first[s].flags.writeable
+            assert _keys(s, g) is first[s]
+            assert not any(a.flags.writeable for a in first[s])
             greedy_dominate(inst, s)
         repair(inst, DominatingSet.empty())
-    # a graph with other weights keeps its own ranks
+    # a graph with other weights keeps its own keys
     reweighted = g.with_weights([10 - w for w in g.weights])
     for s in Strategy:
-        assert rank_order(s, reweighted).tolist() == sort_key_ranks(s, reweighted)
-    assert rank_order(Strategy.S1, reweighted).tolist() != first[Strategy.S1].tolist()
+        assert keys_order(s, reweighted) == sort_key_order(s, reweighted)
+    assert _keys(Strategy.S1, reweighted)[0].tolist() != first[Strategy.S1][0].tolist()
 
 
 def test_runtime_sanity_bound():
@@ -332,8 +348,8 @@ HUB_PATTERNS = {
 
 def test_degree_1e5_hub_runs_in_bounded_time(monkeypatch):
     # loose cap; a mirror check that scans a row per edge would read ~5e9
-    # entries here.  The C scan selects the hub's lowest ranks out of its
-    # row, and organ-pipe ranks defeat the selection's pivots until it falls
+    # entries here.  The C scan selects the hub's first candidates out of its
+    # row, and organ-pipe orders defeat the selection's pivots until it falls
     # back to its heap
     start = time.perf_counter()
     edges = [(0, v) for v in range(1, LEAVES + 1)]
