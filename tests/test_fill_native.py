@@ -161,10 +161,10 @@ SEEDED = {
     "empty": lambda: WeightedGraph.from_edges(0, [], []),
     "isolated": lambda: WeightedGraph.from_edges(6, [(0, 1), (1, 2)], [4, 1, 3, 9, 2, 7]),
     "gnm300": lambda: assign_weights(gen_gnm(300, 3000, 31), WeightSpec(1, 71), 32),
-    # the C scan reads no weights, so it serves weights past int64 too
+    # weights past int64: the scans compare positions in sort_key order
     "gnm60-huge-weights": lambda: gen_gnm(60, 240, 33).with_weights(
         [2**64 + v % 7 for v in range(60)]),
-    # weights that fit int64 while their sums do not, summed in Python ints
+    # weights that fit int64 while their sums do not: positions again
     "gnm60-int64-weights": lambda: gen_gnm(60, 240, 34).with_weights(
         [2**62 + v % 7 for v in range(60)]),
     "star10000": lambda: star(10_000),

@@ -94,7 +94,7 @@ def keys_order(strategy, g):
 @example(WeightedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                                   [2**53, 2**53 - 1, 2**53 + 1, 2**53]))
 # S3 ratios W/(2W+1) and (W-1)/(2W-1) share a float, at W = 2**31 - 1 and at
-# 2**31, where the largest weight times the largest denominator passes 2**63
+# 2**31, where their cross products pass int64
 @example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W, W + 1, W - 1, W]))
 @example(WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [W + 1, W + 2, W, W + 1]))
 # S3's quotients all zero at n = 1000; positions at n = 1100
@@ -134,7 +134,7 @@ def test_float_keys_only_inside_the_bounds():
     assert [bool(_keys(s, g)[2].any()) for s in Strategy] == [True, True, False]
     g = near_float_bound(1100)
     assert all(_keys(s, g)[2].tolist() == positions(sort_key_order(s, g)) for s in Strategy)
-    # past int64, positions in sort_key order over one
+    # a weight past int64: positions in sort_key order, over denominators of one
     g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)], [2**64, 1, 3, 2])
     for s in Strategy:
         nums, dens, q = _keys(s, g)
