@@ -11,20 +11,22 @@
    results, so a caller makes one call to either; the parser's twins are
    line scanners that also take the file paths, which their errors name.
    Graphs are CSR (indptr, indices) with int64 entries; a row lists the
-   neighbours of a vertex other than itself.  The fill scan compares
-   ratios exactly in __int128, and is left out where the compiler has no
-   such type. */
+   neighbours of a vertex other than itself.  The local moves compare gains
+   and the fill scan compares ratios exactly in __int128; both are left out
+   where the compiler has no such type, and run in Python there. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifdef __SIZEOF_INT128__  /* without 128-bit integers these kernels run in Python */
 
 /* One local-move phase of Louvain over one level; the Python twin is
    alphadom.community._local_moves_py.  Vertices are scanned in ascending
    index order, and each moves to the neighbouring community with the
    greatest gain  links * 2m - sigma * k_v,  strictly above the gain of
    staying; equal gains go to the lowest community id.  Sweeps repeat until
-   one moves nothing.  Gains are exact int64 values: every factor is at most
-   2m and the caller keeps 2m <= 2^31, so no product passes 2^62.
+   one moves nothing.  Gains are exact __int128 values: every factor is at
+   most 2m, which is below 2^63, so no product passes 2^126.
 
    weights[e] is the int64 weight of the edge at CSR entry e; the first
    level passes all ones.  comm receives the community of every vertex.
@@ -58,11 +60,12 @@ int64_t alphadom_local_moves(int64_t n, const int64_t *indptr, const int64_t *in
                     seen[count++] = c;
                 links[c] += weights[e];
             }
-            int64_t base = links[cv] * two_m - (sigma[cv] - kv) * kv;
-            int64_t best_c = cv, best_gain = base;
+            __int128 base = (__int128)links[cv] * two_m - (__int128)(sigma[cv] - kv) * kv;
+            __int128 best_gain = base;
+            int64_t best_c = cv;
             for (int64_t i = 0; i < count; i++) {
                 int64_t c = seen[i];
-                int64_t gain = links[c] * two_m - sigma[c] * kv;
+                __int128 gain = (__int128)links[c] * two_m - (__int128)sigma[c] * kv;
                 links[c] = 0;
                 if (c != cv && (gain > best_gain || (gain == best_gain && c < best_c))) {
                     best_c = c;
@@ -82,8 +85,6 @@ int64_t alphadom_local_moves(int64_t n, const int64_t *indptr, const int64_t *in
     free(seen);
     return moved_any;
 }
-
-#ifdef __SIZEOF_INT128__  /* without 128-bit integers the fill scan runs in Python */
 
 /* The ranking value of every vertex v, nums[v] / dens[v]. */
 typedef struct {

@@ -12,8 +12,8 @@ writes to a temporary name that is then renamed into place, so processes
 building at once do not read half a file.  Without a compiler, or when the
 build or the load fails, each of :func:`local_moves`, :func:`fill` and
 :func:`ingest` warns once (``RuntimeWarning``, with the reason) and returns
-None, as :func:`fill` also does where the compiler has no 128-bit integers,
-and :mod:`alphadom.community`, :mod:`alphadom.greedy` and :mod:`alphadom.io`
+None, as :func:`local_moves` and :func:`fill` also do where the compiler
+has no 128-bit integers, and :mod:`alphadom.community`, :mod:`alphadom.greedy` and :mod:`alphadom.io`
 run the same work in Python, several times slower.
 """
 from __future__ import annotations
@@ -80,9 +80,10 @@ def _kernel(name: str, fallback: str):
 def local_moves():
     """The C phase as ``run(indptr, indices, weights, strength, two_m) ->
     (community of each vertex as int64, whether anything moved)``, or None
-    when it cannot be built or loaded (with a warning that says why).
-    ``weights`` holds the integer weight of every CSR entry (all ones at
-    Louvain's first level); the caller keeps ``two_m`` at most 2**31."""
+    when it cannot be built or loaded, or the compiler has no 128-bit
+    integers (with a warning that says why).  ``weights`` holds the integer
+    weight of every CSR entry (all ones at Louvain's first level), and
+    ``two_m``, the strengths' sum, is below 2**63."""
     fn = _kernel("alphadom_local_moves",
                  "Louvain local moves run in Python, since the C phase")
     if fn is None:

@@ -21,7 +21,7 @@ from .bench import (ALGORITHMS, ContractViolationError, ExperimentConfig,
                     run_experiment, write_rows_csv, write_summary_json)
 from .community import louvain
 from .generators import FAMILIES, WeightSpec, assign_weights, family_params
-from .graph import DominationInstance, as_alpha, deficiency, graph_stats
+from .graph import DominationInstance, deficiency, graph_stats
 from .lp import build_lp, lp_text
 from .oracle import InstanceTooLargeError, brute_force_opt
 
@@ -172,7 +172,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args)
-    inst = DominationInstance(g, as_alpha(args.alpha))
+    inst = DominationInstance(g, args.alpha)
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(lp_text(build_lp(inst)))
@@ -196,7 +196,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args)
-    inst = DominationInstance(g, as_alpha(args.alpha))
+    inst = DominationInstance(g, args.alpha)
     solution = graph_io.read_solution(g, args.solution)
     report = deficiency(inst, solution)
     if report.feasible:
@@ -235,7 +235,7 @@ def _cmd_communities(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args)
-    inst = DominationInstance(g, as_alpha(args.alpha))
+    inst = DominationInstance(g, args.alpha)
     try:
         result = brute_force_opt(inst)
     except InstanceTooLargeError as exc:

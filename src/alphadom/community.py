@@ -33,8 +33,6 @@ from .lp import build_lp  # noqa: F401
 from .rounding import is_feasible, round_once  # noqa: F401
 
 _GAIN_TOL = 1e-12  # the least rise in modularity that earns another level
-# largest 2m the C local moves take: their int64 gains stay below 2^62
-_NATIVE_MAX_TWO_M = 2**31
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,12 @@ class Partition:
 
     @classmethod
     def from_assignment(cls, assignment) -> "Partition":
-        """Relabel arbitrary ids to 0..k-1 by first appearance."""
-        relabel: dict[int, int] = {}
-        out = []
-        for c in assignment:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            out.append(relabel[c])
-        return cls(tuple(out), len(relabel))
+        """Relabel integer ids to 0..k-1 by first appearance
+        (:func:`_first_appearance`)."""
+        if not isinstance(assignment, np.ndarray):
+            assignment = np.fromiter(assignment, dtype=np.int64)
+        labels = _first_appearance(assignment.astype(np.int64, copy=False))
+        return cls(tuple(labels.tolist()), int(labels.max(initial=-1)) + 1)
 
     def communities(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.k)]
@@ -99,71 +95,54 @@ def _local_moves(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     the integer weight of every entry in ``data``; returns (community of
     each level vertex as int64, whether anything moved).
 
-    The phase runs in C (:mod:`alphadom._native`) when that can be built and
-    2m is at most ``_NATIVE_MAX_TWO_M``, and otherwise in Python
-    (:func:`_local_moves_py`); both make the same moves.
+    The phase runs in C (:mod:`alphadom._native`) when that can be built,
+    and otherwise in Python (:func:`_local_moves_py`); both make the same
+    moves.
     """
-    native = _native.local_moves()
-    phase = native if native is not None and two_m <= _NATIVE_MAX_TWO_M else _local_moves_py
-    return phase(indptr, indices, data, strength, two_m)
+    return (_native.local_moves() or _local_moves_py)(indptr, indices, data, strength, two_m)
 
 
 def _local_moves_py(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
                     strength: np.ndarray, two_m: int) -> tuple[np.ndarray, bool]:
-    """The local-move phase of :func:`_local_moves` in Python, with the
-    arguments and the results of the C phase (``run`` of
-    :func:`alphadom._native.local_moves`).
+    """The local-move phase of :func:`_local_moves` in Python, line for line
+    the C phase (``alphadom_local_moves`` in ``_native.c``), with its
+    arguments and results.
 
     The row of v lists the neighbours of v other than itself, each once,
     with integer weights from ``data``.  Vertices are scanned in ascending
-    index order and moved to the neighbouring community with the greatest
-    strictly positive modularity gain; equal gains resolve to the lowest
-    community id.  Sweeps repeat until a full sweep moves nothing.  A gain
-    is compared as the integer ``links * 2m - sigma * k_v``, 2m times the
-    usual ``links - sigma * k_v / 2m``, so no comparison rounds.
-
-    Every vertex keeps its link weight to each neighbouring community in a
-    dict, and a move updates only the mover's neighbours' dicts.  A count
-    that drops to zero is deleted, so the keys are exactly the communities
-    a full recount would find; the choice does not depend on their order.
+    index order, and each visit counts v's link weight to every
+    neighbouring community afresh; v moves to the one with the greatest
+    gain strictly above the gain of staying, and equal gains resolve to the
+    lowest community id.  Sweeps repeat until a full sweep moves nothing.
+    A gain is compared as the integer ``links * 2m - sigma * k_v``, 2m times
+    the usual ``links - sigma * k_v / 2m``, so no comparison rounds.
     """
     bounds, flat, weights = indptr.tolist(), indices.tolist(), data.tolist()
-    rows = [list(zip(flat[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
     strength = strength.tolist()
-    n = len(rows)
+    n = len(strength)
     comm = list(range(n))
-    sigma = list(strength)  # total strength per community
-    links_of = [dict(row) for row in rows]
-    moved_any = False
-    while True:
+    sigma = list(strength)  # strength per community
+    moved_any, moved = False, True
+    while moved:
         moved = False
         for v in range(n):
-            cv = comm[v]
-            kv = strength[v]
-            links = links_of[v]
-            sigma[cv] -= kv
-            base = links.get(cv, 0) * two_m - sigma[cv] * kv
+            cv, kv = comm[v], strength[v]
+            links: dict[int, int] = {}  # v's link weight per community
+            for e in range(bounds[v], bounds[v + 1]):
+                c = comm[flat[e]]
+                links[c] = links.get(c, 0) + weights[e]
+            base = links.get(cv, 0) * two_m - (sigma[cv] - kv) * kv
             best_c, best_gain = cv, base
             for c, lc in links.items():
                 gain = lc * two_m - sigma[c] * kv
-                if gain > best_gain or (gain == best_gain and c < best_c):
+                if c != cv and (gain > best_gain or (gain == best_gain and c < best_c)):
                     best_c, best_gain = c, gain
-            if best_gain == base:
-                best_c = cv  # only a strictly better community is worth the move
-            sigma[best_c] += kv
-            if best_c != cv:
+            if best_gain > base:  # a tie with staying keeps v where it is
+                sigma[cv] -= kv
+                sigma[best_c] += kv
                 comm[v] = best_c
                 moved = moved_any = True
-                for u, w in rows[v]:
-                    counts = links_of[u]
-                    left = counts[cv] - w
-                    if left:
-                        counts[cv] = left
-                    else:
-                        del counts[cv]
-                    counts[best_c] = counts.get(best_c, 0) + w
-        if not moved:
-            return np.array(comm, dtype=np.int64), moved_any
+    return np.array(comm, dtype=np.int64), moved_any
 
 
 def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
@@ -191,8 +170,7 @@ def _aggregate(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
 
 
 def _first_appearance(ids: np.ndarray) -> np.ndarray:
-    """``ids`` renumbered 0..k-1 by first appearance, the relabelling of
-    :meth:`Partition.from_assignment` for integer ids."""
+    """``ids`` renumbered 0..k-1 by first appearance."""
     _, firsts, inverse = np.unique(ids, return_index=True, return_inverse=True)
     rank = np.empty(len(firsts), dtype=np.int64)
     rank[np.argsort(firsts)] = np.arange(len(firsts))
@@ -238,8 +216,7 @@ def _louvain(g: WeightedGraph) -> Partition:
         best_q = q
         strength = np.bincount(comm, weights=strength).astype(np.int64)
         indptr, indices, data = _aggregate(indptr, indices, data, comm)
-    labels = _first_appearance(membership)
-    return Partition(tuple(labels.tolist()), int(labels.max()) + 1)
+    return Partition.from_assignment(membership)
 
 
 def _cpus() -> int:

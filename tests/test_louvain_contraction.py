@@ -1,5 +1,5 @@
 """Louvain's level contraction and relabelling in numpy give what the sparse
-product Pᵀ A P and ``Partition.from_assignment`` give."""
+product Pᵀ A P and a dict relabelling by first appearance give."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,8 +88,17 @@ def test_every_level_of_louvain_matches_the_sparse_product(monkeypatch):
     assert True in seen and False in seen  # levels of weights all one, and heavier ones
 
 
+def dict_relabel(ids):
+    """``ids`` renumbered 0, 1, ... in order of first appearance, by a dict."""
+    relabel: dict[int, int] = {}
+    return [relabel.setdefault(c, len(relabel)) for c in ids]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-5, 30), max_size=40))
-def test_relabel_matches_from_assignment(ids):
+def test_relabel_matches_a_dict_relabel(ids):
+    want = dict_relabel(ids)
     got = community._first_appearance(np.asarray(ids, dtype=np.int64))
-    assert got.tolist() == list(Partition.from_assignment(ids).community_of)
+    assert got.dtype == np.int64 and got.tolist() == want
+    p = Partition.from_assignment(ids)
+    assert p.community_of == tuple(want) and p.k == len(set(ids))

@@ -1,6 +1,7 @@
 """Louvain's local moves in C make the moves of the Python loop at every
-level, and Louvain falls back to the Python loop when the C phase cannot be
-built (with a warning) or 2m is past its int64 range."""
+level, also where 2m and the gains are far past 2**31, and Louvain falls
+back to the Python loop when the C phase cannot be built (with a
+warning)."""
 import shutil
 import subprocess
 
@@ -14,6 +15,7 @@ from alphadom.generators import (WeightSpec, assign_weights, gen_gnm, gen_plante
 
 from .louvain_reference import reference_louvain
 from .strategies import weighted_graphs
+from .test_lp import mentions_like
 
 NATIVE = _native.local_moves()
 needs_native = pytest.mark.skipif(NATIVE is None, reason="no C compiler to build the local moves")
@@ -24,6 +26,8 @@ SEEDED = {
     "powerlaw2000": lambda: gen_powerlaw_cluster(2000, 3, 0.3, 3),
     "gnm300-isolated": lambda: gen_gnm(300, 200, 3),
     "star": lambda: WeightedGraph.from_edges(50, [(0, v) for v in range(1, 50)], [1] * 50),
+    # hub-heavy and sparse: many sweeps, each of short rows
+    "mentions5000": lambda: mentions_like(5000, 9),
 }
 
 
@@ -87,14 +91,35 @@ def test_python_phase_without_a_compiler(tmp_path, monkeypatch):
     assert louvain(g).community_of == reference_louvain(g)
 
 
-def test_two_m_past_the_native_range_runs_in_python(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the C phase ran")
+def heavy_level(seed: int, bits: int):
+    """A level of G(30, 80) whose every edge weighs up to 2**bits, the same
+    in both of its rows, and whose vertices also hold self-loops of up to
+    2**bits: (indptr, indices, data, strength, two_m), with 2m between
+    2**bits and 2**63."""
+    g = gen_gnm(30, 80, seed)
+    rng = np.random.default_rng([seed, bits])
+    owners = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    lo, hi = np.minimum(owners, g.indices), np.maximum(owners, g.indices)
+    _, pair = np.unique(lo * g.n + hi, return_inverse=True)
+    data = rng.integers(1, 2**bits, size=g.edge_count, endpoint=True)[pair]
+    strength = 2 * rng.integers(0, 2**bits, size=g.n, endpoint=True)
+    np.add.at(strength, owners, data)
+    two_m = int(strength.sum(dtype=object))
+    assert 2**bits < two_m < 2**63
+    return g.indptr, g.indices, data, strength, two_m
 
-    monkeypatch.setattr(_native, "local_moves", lambda: refuse)
-    monkeypatch.setattr(community, "_NATIVE_MAX_TWO_M", 0)
-    g = gen_gnm(200, 400, 1)
-    assert louvain(g).community_of == reference_louvain(g)
+
+@needs_native
+def test_same_moves_as_python_where_two_m_is_far_past_two_to_the_31():
+    moved = 0
+    for seed in range(50):
+        for bits in (40, 45, 50, 55):
+            level = heavy_level(seed, bits)
+            comm, native_moved = NATIVE(*level)
+            py_comm, py_moved = community._local_moves_py(*level)
+            assert (comm.tolist(), native_moved) == (py_comm.tolist(), py_moved)
+            moved += native_moved and len(set(comm.tolist())) > 1
+    assert moved > 150  # most levels move vertices into several communities
 
 
 @needs_native
