@@ -13,8 +13,9 @@ building at once do not read half a file.  Without a compiler, or when the
 build or the load fails, each of :func:`local_moves`, :func:`fill` and
 :func:`ingest` warns once (``RuntimeWarning``, with the reason) and returns
 None, as :func:`local_moves` and :func:`fill` also do where the compiler
-has no 128-bit integers, and :mod:`alphadom.community`, :mod:`alphadom.greedy` and :mod:`alphadom.io`
-run the same work in Python, several times slower.
+has no 128-bit integers, and :mod:`alphadom.community`,
+:mod:`alphadom.greedy` and :mod:`alphadom.io` run the same work in Python,
+several times slower.
 """
 from __future__ import annotations
 

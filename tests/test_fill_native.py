@@ -216,7 +216,8 @@ def test_fill_warns_once_without_a_compiler(tmp_path, monkeypatch):
 
 @needs_native
 def test_a_kernel_missing_from_the_library_warns():
-    # as the fill scan is where the compiler has no 128-bit integers
+    # as the local moves and the fill scan are where the compiler has no
+    # 128-bit integers
     with pytest.warns(RuntimeWarning,
                       match="^Nothing could not be built or loaded: .*alphadom_nothing"):
         assert _native._kernel("alphadom_nothing", "Nothing") is None

@@ -26,7 +26,7 @@ SEEDED = {
     "powerlaw2000": lambda: gen_powerlaw_cluster(2000, 3, 0.3, 3),
     "gnm300-isolated": lambda: gen_gnm(300, 200, 3),
     "star": lambda: WeightedGraph.from_edges(50, [(0, v) for v in range(1, 50)], [1] * 50),
-    # hub-heavy and sparse: many sweeps, each of short rows
+    # hub-heavy and sparse: a few hubs, and most rows of one to three
     "mentions5000": lambda: mentions_like(5000, 9),
 }
 
@@ -89,6 +89,19 @@ def test_python_phase_without_a_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(_native, "local_moves", lambda: None)
     g = gen_planted_partition(4, 30, 0.3, 0.01, 5)
     assert louvain(g).community_of == reference_louvain(g)
+
+
+@needs_native
+def test_python_phase_without_128_bit_integers(tmp_path, monkeypatch):
+    # such a compiler builds the parser alone
+    shutil.copy(_native.SOURCE, tmp_path)
+    monkeypatch.setattr(_native, "SOURCE", tmp_path / _native.SOURCE.name)
+    monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, "-U__SIZEOF_INT128__"))
+    with pytest.warns(RuntimeWarning, match="Louvain local moves run in Python.*alphadom_local_moves"):
+        assert _native.local_moves.__wrapped__() is None
+    with pytest.warns(RuntimeWarning, match="greedy fill scan runs in Python.*alphadom_fill"):
+        assert _native.fill.__wrapped__() is None
+    assert _native.ingest.__wrapped__() is not None
 
 
 def heavy_level(seed: int, bits: int):
